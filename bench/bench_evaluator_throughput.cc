@@ -87,9 +87,10 @@ double TimeAll(const std::vector<ps3::query::Query>& queries,
 double TimeAllSharded(const std::vector<ps3::query::Query>& queries,
                       const ps3::storage::ShardedTable& table,
                       const ps3::query::ExecOptions& opts) {
+  const ps3::storage::ResidentShardedSource source(table);
   auto start = Clock::now();
   for (const auto& q : queries) {
-    auto answers = ps3::query::EvaluateAllPartitions(q, table, opts);
+    auto answers = ps3::query::EvaluateAllPartitions(q, source, opts);
     if (answers.empty()) std::abort();
   }
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -109,6 +110,8 @@ double TimeStreamed(const std::vector<ps3::query::Query>& queries,
   ps3::runtime::QueryScheduler::Options sopts;
   sopts.num_drivers = static_cast<int>(n_streams);
   ps3::runtime::QueryScheduler scheduler(sopts);
+  const ps3::storage::ShardedTable one_shard(table, 1);
+  const ps3::storage::ResidentShardedSource source(one_shard);
   stream_secs->assign(n_streams, 0.0);
   stream_queries->assign(n_streams, 0);
   auto start = Clock::now();
@@ -121,7 +124,7 @@ double TimeStreamed(const std::vector<ps3::query::Query>& queries,
         // future::get() is an opaque side-effecting call, so the answer
         // cannot be optimized away; an empty answer is legitimate here
         // (always-false predicates), unlike the flat-scan timers above.
-        scheduler.Submit(queries[i], table, opts).get();
+        scheduler.Submit(queries[i], source, opts).get();
         ++count;
       }
       (*stream_secs)[s] =
@@ -165,6 +168,8 @@ ClassBenchResult TimeClassed(const std::vector<ps3::query::Query>& queries,
   runtime::QueryScheduler::Options sopts;
   sopts.num_drivers = static_cast<int>(drivers);
   runtime::QueryScheduler scheduler(sopts);
+  const storage::ShardedTable one_shard(table, 1);
+  const storage::ResidentShardedSource source(one_shard);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> batch_done{0};
@@ -174,15 +179,15 @@ ClassBenchResult TimeClassed(const std::vector<ps3::query::Query>& queries,
     batch_streams.emplace_back([&, s] {
       size_t i = s;
       while (!stop.load(std::memory_order_relaxed)) {
-        scheduler.Submit(queries[i % queries.size()], table, opts).get();
+        scheduler.Submit(queries[i % queries.size()], source, opts).get();
         batch_done.fetch_add(1, std::memory_order_relaxed);
         ++i;
       }
     });
   }
 
-  runtime::SubmitOptions submit;
-  if (classed) submit.query_class = QueryClass::kInteractive;
+  query::ExecOptions inter = opts;
+  if (classed) inter.query_class = QueryClass::kInteractive;
   std::vector<double> lat_ms;
   lat_ms.reserve(quota);
   const auto window_start = Clock::now();
@@ -191,7 +196,7 @@ ClassBenchResult TimeClassed(const std::vector<ps3::query::Query>& queries,
       std::this_thread::sleep_for(std::chrono::microseconds(think_us));
     }
     const auto q_start = Clock::now();
-    scheduler.Submit(queries[k % queries.size()], table, submit, opts).get();
+    scheduler.Submit(queries[k % queries.size()], source, inter).get();
     lat_ms.push_back(
         std::chrono::duration<double, std::milli>(Clock::now() - q_start)
             .count());
@@ -229,15 +234,17 @@ class FullColdSource : public ps3::io::ColdShardedSource {
   using ColdShardedSource::ColdShardedSource;
 
   ps3::Result<ps3::storage::PinnedPartition> Acquire(
-      size_t global_index,
-      const ps3::storage::ColumnSet& columns) const override {
+      size_t global_index, const ps3::storage::ColumnSet& columns,
+      const ps3::storage::ScanControl& control) const override {
     (void)columns;
-    return store().Fetch(global_index, ps3::storage::ColumnSet::All());
+    return ColdShardedSource::Acquire(
+        global_index, ps3::storage::ColumnSet::All(), control);
   }
-  void WillScanShard(size_t s,
-                     const ps3::storage::ColumnSet& columns) const override {
+  void WillScanShard(size_t s, const ps3::storage::ColumnSet& columns,
+                     const ps3::storage::ScanControl& control) const override {
     (void)columns;
-    ColdShardedSource::WillScanShard(s, ps3::storage::ColumnSet::All());
+    ColdShardedSource::WillScanShard(s, ps3::storage::ColumnSet::All(),
+                                     control);
   }
 };
 
@@ -328,8 +335,9 @@ int main() {
     auto flat = query::EvaluateAllPartitions(queries[0], table, vopts);
     for (size_t shards : shard_counts) {
       storage::ShardedTable st(table, shards);
-      ExpectIdentical(flat,
-                      query::EvaluateAllPartitions(queries[0], st, vopts));
+      ExpectIdentical(flat, query::EvaluateAllPartitions(
+                                queries[0], storage::ResidentShardedSource(st),
+                                vopts));
     }
   }
 

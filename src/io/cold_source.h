@@ -49,30 +49,19 @@ class ColdShardedSource : public storage::PartitionSource {
     return shards_[s];
   }
 
-  Result<storage::PinnedPartition> Acquire(
-      size_t global_index,
-      const storage::ColumnSet& columns) const override {
-    return store_->Fetch(global_index, columns);
-  }
-  /// The control-aware scan path: the token lets a cold load (and its
-  /// single-flight wait) abort with the token's Status instead of riding
-  /// out the simulated IO for a dead query.
+  /// The token lets a cold load (and its single-flight wait) abort with
+  /// the token's Status instead of riding out the simulated IO for a dead
+  /// query.
   Result<storage::PinnedPartition> Acquire(
       size_t global_index, const storage::ColumnSet& columns,
       const storage::ScanControl& control) const override {
     return store_->Fetch(global_index, columns, control.cancel);
   }
-  using storage::PartitionSource::Acquire;
 
-  void WillScanShard(size_t s,
-                     const storage::ColumnSet& columns) const override {
-    StageHint(shards_, s, columns);
-  }
   void WillScanShard(size_t s, const storage::ColumnSet& columns,
                      const storage::ScanControl& control) const override {
     StageHint(shards_, s, columns, control);
   }
-  using storage::PartitionSource::WillScanShard;
 
   /// Stages read-ahead along an explicit shard plan — this source's own
   /// plan for a full scan, or a filtered one handed down by a

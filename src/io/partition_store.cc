@@ -267,41 +267,45 @@ size_t PartitionStore::encoded_columns_bytes(
   return total;
 }
 
+std::vector<FaultDecision> PartitionStore::DrawFaults(
+    size_t i, const std::vector<size_t>& cols) {
+  std::vector<FaultDecision> decisions;
+  FaultInjector* const faults = options_.faults.get();
+  if (faults == nullptr || !faults->plan().AnyFaults()) return decisions;
+  decisions.reserve(cols.size());
+  for (size_t c : cols) {
+    decisions.push_back(faults->Next(i, c));
+    if (decisions.back().kind == FaultKind::kLost) break;
+  }
+  return decisions;
+}
+
 Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumnsOnce(
-    size_t i, const std::vector<size_t>& cols, const CancelToken* cancel,
+    size_t i, const std::vector<size_t>& cols,
+    const std::vector<FaultDecision>& decisions, const CancelToken* cancel,
     const CancelToken* hedge_stop) {
   const auto start = std::chrono::steady_clock::now();
-  // Last poll before the expensive part: a query cancelled (or expired)
-  // by now skips the simulated RTT and the read entirely.
   PS3_RETURN_IF_ERROR(SleepWithTokens(0, cancel, hedge_stop));
 
-  // Resolve this pass's injected faults up front: one attempt per
-  // column coordinate, pass-level effect. A transient draw on *any*
-  // column fails the whole pass (it is one physical read); corrupt
-  // draws flip a bit in exactly their column's encoded segment; spike
+  // Pass-level effect of the drawn faults: a transient draw on *any*
+  // column fails the whole pass (it is one physical read); corrupt draws
+  // flip a bit in exactly their column's encoded segment; spike
   // latencies take the max across columns (one link, slowest replica).
-  FaultInjector* const faults = options_.faults.get();
   bool transient = false;
   int transient_attempt = 0;
   size_t spike_us = 0;
-  std::vector<FaultDecision> decisions;
-  if (faults != nullptr && faults->plan().AnyFaults()) {
-    decisions.reserve(cols.size());
-    for (size_t c : cols) {
-      FaultDecision d = faults->Next(i, c);
-      if (d.kind == FaultKind::kLost) {
-        // Resilient callers fail fast before consuming attempts; this
-        // covers an injector whose lost set raced a direct call.
-        return Status::Unavailable("partition " + std::to_string(i) +
-                                   " permanently lost");
-      }
-      if (d.kind == FaultKind::kTransient) {
-        transient = true;
-        transient_attempt = d.attempt;
-      }
-      spike_us = std::max(spike_us, d.extra_latency_us);
-      decisions.push_back(d);
+  for (const FaultDecision& d : decisions) {
+    if (d.kind == FaultKind::kLost) {
+      // Resilient callers fail fast before consuming attempts; this
+      // covers an injector whose lost set raced a direct call.
+      return Status::Unavailable("partition " + std::to_string(i) +
+                                 " permanently lost");
     }
+    if (d.kind == FaultKind::kTransient) {
+      transient = true;
+      transient_attempt = d.attempt;
+    }
+    spike_us = std::max(spike_us, d.extra_latency_us);
   }
 
   // The latency model sleeps *before* the read, like a request round
@@ -332,7 +336,7 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumnsOnce(
     // Map the pass's corrupt decisions onto the reader's tamper seam so
     // the bit flips land on encoded bytes upstream of the checksum —
     // injected corruption exercises the real detection machinery.
-    const uint64_t seed = faults->plan().seed;
+    const uint64_t seed = options_.faults->plan().seed;
     tamper = [&cols, &decisions, seed, i](size_t col, uint8_t* data,
                                           size_t len) {
       for (size_t k = 0; k < cols.size(); ++k) {
@@ -410,14 +414,19 @@ size_t PartitionStore::HedgeDelayUs() const {
 
 Result<PartitionStore::LoadedColumns> PartitionStore::LoadPass(
     size_t i, const std::vector<size_t>& cols, const CancelToken* cancel) {
-  if (!options_.hedge.enabled) {
-    return LoadColumnsOnce(i, cols, cancel, nullptr);
-  }
-  const size_t hedge_delay_us = HedgeDelayUs();
+  // Last poll before the expensive part: a query cancelled (or expired)
+  // by now skips the fault draw, the simulated RTT and the read entirely.
+  PS3_RETURN_IF_ERROR(SleepWithTokens(0, cancel, nullptr));
+  // Every racer's faults are drawn here, on the calling thread, before
+  // the racer starts: the attempt each read consumes then follows
+  // program order, never the order in which racer threads get scheduled.
+  const std::vector<FaultDecision> primary_faults = DrawFaults(i, cols);
+  const size_t hedge_delay_us =
+      options_.hedge.enabled ? HedgeDelayUs() : size_t{0};
   if (hedge_delay_us == 0) {
-    // No latency estimate yet (and no fixed delay): load plain and let
-    // the sample prime the EWMA.
-    return LoadColumnsOnce(i, cols, cancel, nullptr);
+    // Hedging off, or no latency estimate yet (and no fixed delay): load
+    // plain and let the sample prime the EWMA.
+    return LoadColumnsOnce(i, cols, primary_faults, cancel, nullptr);
   }
 
   // Hedged race: primary fires immediately; if it hasn't landed within
@@ -428,7 +437,7 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadPass(
   CancelToken primary_stop;
   CancelToken secondary_stop;
   auto primary = std::async(std::launch::async, [&] {
-    return LoadColumnsOnce(i, cols, cancel, &primary_stop);
+    return LoadColumnsOnce(i, cols, primary_faults, cancel, &primary_stop);
   });
   if (primary.wait_for(std::chrono::microseconds(hedge_delay_us)) ==
       std::future_status::ready) {
@@ -438,8 +447,10 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadPass(
     std::lock_guard<std::mutex> lock(load_mu_);
     ++store_stats_.hedged_loads;
   }
+  const std::vector<FaultDecision> secondary_faults = DrawFaults(i, cols);
   auto secondary = std::async(std::launch::async, [&] {
-    return LoadColumnsOnce(i, cols, cancel, &secondary_stop);
+    return LoadColumnsOnce(i, cols, secondary_faults, cancel,
+                           &secondary_stop);
   });
   for (;;) {
     if (primary.wait_for(std::chrono::microseconds(200)) ==

@@ -299,14 +299,19 @@ class PartitionStore {
   /// uncounted. This is what Fetch and Preload call.
   Result<LoadedColumns> LoadColumns(size_t i, const std::vector<size_t>& cols,
                                     const CancelToken* cancel = nullptr);
+  /// Draws one physical pass's injected faults: one attempt per column
+  /// coordinate (stopping at a lost draw). Empty without a fault plan.
+  std::vector<FaultDecision> DrawFaults(size_t i,
+                                        const std::vector<size_t>& cols);
   /// One physical read pass: simulated latency/bandwidth sleep (sliced,
-  /// polling both tokens), injected faults applied, then the seek-read-
-  /// verify-decode of io/partition_file. `hedge_stop` (nullable) is the
-  /// racer-local token a winning hedge uses to abort the loser.
-  Result<LoadedColumns> LoadColumnsOnce(size_t i,
-                                        const std::vector<size_t>& cols,
-                                        const CancelToken* cancel,
-                                        const CancelToken* hedge_stop);
+  /// polling both tokens), the pass's drawn `decisions` applied, then
+  /// the seek-read-verify-decode of io/partition_file. `hedge_stop`
+  /// (nullable) is the racer-local token a winning hedge uses to abort
+  /// the loser.
+  Result<LoadedColumns> LoadColumnsOnce(
+      size_t i, const std::vector<size_t>& cols,
+      const std::vector<FaultDecision>& decisions, const CancelToken* cancel,
+      const CancelToken* hedge_stop);
   /// One *attempt* of the resilient loop: plain pass, or a hedged race
   /// (second read fired after HedgeDelayUs; first success cancels the
   /// loser) when hedging is on and a latency estimate exists.

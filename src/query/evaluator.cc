@@ -401,54 +401,20 @@ PartitionAnswer EvaluateOnPartition(const Query& query,
 }
 
 std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::PartitionedTable& table) {
-  return EvaluateAllPartitions(query, table, ExecOptions{});
-}
-
-std::vector<PartitionAnswer> EvaluateAllPartitions(
     const Query& query, const storage::PartitionedTable& table,
     const ExecOptions& opts) {
-  const size_t n_parts = table.num_partitions();
-  std::vector<PartitionAnswer> out(n_parts);
-  runtime::WorkerPool& pool = PoolOf(opts);
-  if (opts.policy == ExecPolicy::kScalar) {
-    pool.ParallelFor(
-        n_parts,
-        [&](size_t i) {
-          out[i] = EvaluateOnPartition(query, table.partition(i));
-        },
-        TaskOf(opts));
-    return out;
-  }
-  // Compile once, execute everywhere; scratch is per pool lane and
-  // persists across queries on the same pool.
-  const CompiledQuery cq = CompileQuery(query);
-  pool.ParallelFor(
-      n_parts,
-      [&](size_t i) {
-        VectorScratch& s = pool.LocalScratch<VectorScratch>();
-        s.be.set_simd(opts.simd);
-        out[i] = EvaluateVectorized(cq, table.partition(i), &s);
-      },
-      TaskOf(opts));
-  return out;
-}
-
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::ShardedTable& table,
-    const ExecOptions& opts) {
-  // Resident tables are just the trivial PartitionSource: Acquire never
-  // fails, nothing is pinned, and WillScanShard is a no-op, so this is
-  // the same fan-out it always was.
-  storage::ResidentShardedSource source(table);
-  return EvaluateAllPartitions(query, source, opts);
+  // A flat table is the one-shard resident source: Acquire never fails,
+  // nothing is pinned, and WillScanShard is a no-op.
+  const storage::ShardedTable one_shard(table, 1);
+  return EvaluateAllPartitions(
+      query, storage::ResidentShardedSource(one_shard), opts);
 }
 
 std::vector<PartitionAnswer> EvaluateAllPartitions(
     const Query& query, const storage::PartitionSource& source,
     const ExecOptions& opts) {
   const size_t n_shards = source.num_shards();
-  std::vector<std::vector<PartitionAnswer>> partials(n_shards);
+  std::vector<PartitionAnswer> out(source.num_partitions());
   runtime::WorkerPool& pool = PoolOf(opts);
   // Compiled under both policies: the vectorized engine executes it, and
   // either way it yields the scan's referenced-column set — the
@@ -459,19 +425,18 @@ std::vector<PartitionAnswer> EvaluateAllPartitions(
   const storage::ColumnSet scan_columns = ReferencedColumns(cq);
   // Fan out at partition granularity, flattened across shards, so
   // parallelism scales with total partitions even when shards are fewer
-  // than lanes (a 1-shard table still fills an 8-lane pool). Each unit
-  // writes its own partial slot, so the reduction stays index-addressed.
+  // than lanes (a 1-shard table still fills an 8-lane pool). Shards
+  // partition the global index space, so each unit writes its own slot
+  // of `out`: the result is index-addressed and deterministic for any
+  // lane count, shard count or assignment.
   struct Unit {
     size_t shard;
-    size_t k;  ///< offset within the shard's partition list
+    size_t partition;  ///< global partition index
   };
   std::vector<Unit> units;
   units.reserve(source.num_partitions());
   for (size_t s = 0; s < n_shards; ++s) {
-    partials[s].resize(source.shard(s).size());
-    for (size_t k = 0; k < source.shard(s).size(); ++k) {
-      units.push_back(Unit{s, k});
-    }
+    for (size_t p : source.shard(s)) units.push_back(Unit{s, p});
   }
   // One scan-entry flag per shard: whichever lane reaches a shard first
   // fires the source's prefetch hint. Advisory only — results cannot
@@ -495,8 +460,7 @@ std::vector<PartitionAnswer> EvaluateAllPartitions(
         if (!entered[unit.shard].exchange(true, std::memory_order_relaxed)) {
           source.WillScanShard(unit.shard, scan_columns, ctl);
         }
-        auto pinned = source.Acquire(source.shard(unit.shard)[unit.k],
-                                     scan_columns, ctl);
+        auto pinned = source.Acquire(unit.partition, scan_columns, ctl);
         if (!pinned.ok()) {
           // The pool rethrows on this evaluation's caller; sibling
           // queries on the pool are unaffected (per-job failure). An
@@ -511,23 +475,14 @@ std::vector<PartitionAnswer> EvaluateAllPartitions(
         }
         const storage::Partition& part = pinned->view();
         if (opts.policy == ExecPolicy::kScalar) {
-          partials[unit.shard][unit.k] = EvaluateOnPartition(query, part);
+          out[unit.partition] = EvaluateOnPartition(query, part);
           return;
         }
         VectorScratch& sc = pool.LocalScratch<VectorScratch>();
         sc.be.set_simd(opts.simd);
-        partials[unit.shard][unit.k] = EvaluateVectorized(cq, part, &sc);
+        out[unit.partition] = EvaluateVectorized(cq, part, &sc);
       },
       TaskOf(opts));
-  // Ordered merge: walk shards in index order, placing each partial at its
-  // global partition id. Deterministic for any lane count or assignment.
-  std::vector<PartitionAnswer> out(source.num_partitions());
-  for (size_t s = 0; s < n_shards; ++s) {
-    const std::vector<size_t>& parts = source.shard(s);
-    for (size_t k = 0; k < parts.size(); ++k) {
-      out[parts[k]] = std::move(partials[s][k]);
-    }
-  }
   return out;
 }
 
@@ -538,41 +493,17 @@ size_t VectorScratchCreatedForTesting() {
 size_t CountMatchingRows(const PredicatePtr& pred,
                          const storage::PartitionedTable& table,
                          const ExecOptions& opts) {
-  const size_t n_parts = table.num_partitions();
-  std::vector<size_t> counts(n_parts, 0);
-  runtime::WorkerPool& pool = PoolOf(opts);
-  if (opts.policy == ExecPolicy::kScalar) {
-    const PredicatePtr& p = pred ? pred : Predicate::True();
-    pool.ParallelFor(
-        n_parts,
-        [&](size_t i) {
-          storage::Partition part = table.partition(i);
-          size_t c = 0;
-          for (size_t r = 0; r < part.num_rows(); ++r) {
-            if (p->Matches(part, r)) ++c;
-          }
-          counts[i] = c;
-        },
-        TaskOf(opts));
-  } else {
-    const PredProgram prog = CompilePredicate(pred);
-    pool.ParallelFor(
-        n_parts,
-        [&](size_t i) {
-          storage::Partition part = table.partition(i);
-          if (prog.always_true) {
-            counts[i] = part.num_rows();
-            return;
-          }
-          VectorScratch& s = pool.LocalScratch<VectorScratch>();
-          s.be.set_simd(opts.simd);
-          s.be.EvalPredicate(prog, part, &s.main);
-          counts[i] = s.main.CountOnes();
-        },
-        TaskOf(opts));
-  }
+  // COUNT(*) under `pred`: on the vectorized policy the single-group fast
+  // path is exactly a per-partition bitmap popcount.
+  Query count;
+  count.predicate = pred;
+  count.aggregates.push_back(Aggregate::Count());
   size_t total = 0;
-  for (size_t c : counts) total += c;
+  for (const PartitionAnswer& pa : EvaluateAllPartitions(count, table, opts)) {
+    for (const auto& [key, accs] : pa) {
+      total += static_cast<size_t>(accs[0].count);
+    }
+  }
   return total;
 }
 

@@ -37,7 +37,6 @@ class WorkerPool;
 
 namespace ps3::storage {
 class PartitionSource;
-class ShardedTable;
 }  // namespace ps3::storage
 
 namespace ps3::query {
@@ -125,8 +124,9 @@ struct ExecOptions {
   /// vs explicit AVX2); answers are bit-identical either way.
   runtime::SimdLevel simd = runtime::SimdLevel::kAuto;
   /// Admission class under concurrent load: interactive scans preempt
-  /// batch scans at chunk granularity on the shared pool, and cold
-  /// sources keep their prefetch outside the batch read-ahead share.
+  /// batch scans at chunk granularity on the shared pool, cold sources
+  /// keep their prefetch outside the batch read-ahead share, and
+  /// runtime::QueryScheduler dequeues interactive submissions first.
   /// Affects only when chunks run — answers are class-blind.
   QueryClass query_class = QueryClass::kBatch;
   /// Cooperative cancel/deadline token, polled at chunk boundaries, at
@@ -148,29 +148,19 @@ PartitionAnswer EvaluateOnPartition(const Query& query,
                                     const storage::Partition& part,
                                     ExecPolicy policy);
 
-/// Evaluates the query exactly on every partition (vectorized, all
-/// hardware threads).
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::PartitionedTable& table);
-
-/// Same, with explicit policy / thread count.
+/// Evaluates the query exactly on every partition of a flat table: a
+/// thin wrapper that scans it as a one-shard storage::ResidentShardedSource
+/// (vectorized on all hardware threads by default).
 std::vector<PartitionAnswer> EvaluateAllPartitions(
     const Query& query, const storage::PartitionedTable& table,
-    const ExecOptions& opts);
-
-/// Multi-shard fan-out: evaluates the query over every shard of `table`,
-/// computing per-shard partial answer vectors in parallel and merging them
-/// in shard-index order into a vector indexed by *global* partition id.
-/// Because shards partition the same global partition set, the result is
-/// bit-identical to EvaluateAllPartitions on the flat table for any shard
-/// count or assignment policy.
-std::vector<PartitionAnswer> EvaluateAllPartitions(
-    const Query& query, const storage::ShardedTable& table,
     const ExecOptions& opts = {});
 
-/// Same fan-out over an abstract PartitionSource — the seam that lets one
-/// scan implementation serve resident tables and the io layer's cold /
-/// cached stores alike. The query's referenced-column set (predicate +
+/// The scan loop: fans the query out over every shard of an abstract
+/// PartitionSource — the seam that lets one scan implementation serve
+/// resident tables (storage::ResidentShardedSource) and the io layer's
+/// cold / cached stores alike. Each partition's answer lands in the slot
+/// of its *global* partition id, so the result is bit-identical for any
+/// shard count or assignment policy. The query's referenced-column set (predicate +
 /// aggregate + GROUP BY columns, via query::ReferencedColumns) is passed
 /// to every Acquire/WillScanShard as the projection hint, so out-of-core
 /// sources read only the column segments this query touches. Each unit
@@ -192,8 +182,8 @@ std::vector<PartitionAnswer> EvaluateAllPartitions(
 /// not grow between two queries on the same pool.
 size_t VectorScratchCreatedForTesting();
 
-/// Total rows matching `pred` over all partitions. The vectorized policy
-/// is a pure bitmap-popcount pass (no aggregation state); used for exact
+/// Total rows matching `pred` over all partitions: a COUNT(*) scan, whose
+/// vectorized policy is a bitmap popcount per partition; used for exact
 /// selectivity labeling. A null predicate counts every row.
 size_t CountMatchingRows(const PredicatePtr& pred,
                          const storage::PartitionedTable& table,

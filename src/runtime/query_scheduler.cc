@@ -44,6 +44,34 @@ void ThrowIfLost(const storage::PartitionSource& source) {
   if (!lost.empty()) throw QueryFailed(LostStatus(lost));
 }
 
+/// The shared tail of SubmitApproximate and SubmitDegradable: scans the
+/// weighted subset `sel` (canonical order, ascending partitions) through
+/// a storage::PickedSource view of `source`, combines it with its error
+/// surface, and fills the answer's accounting.
+ApproxAnswer ScanWeighted(
+    const query::Query& q, const storage::PartitionSource& source,
+    const std::vector<query::WeightedPartition>& sel,
+    const query::ExecOptions& exec) {
+  std::vector<size_t> picked;
+  picked.reserve(sel.size());
+  for (const auto& wp : sel) picked.push_back(wp.partition);
+
+  const storage::PickedSource view(source, picked);
+  std::vector<query::PartitionAnswer> partials =
+      query::EvaluateAllPartitions(q, view, exec);
+  query::ApproxCombined combined =
+      query::CombineWeightedWithError(q, partials, sel);
+
+  ApproxAnswer out;
+  out.value = std::move(combined.value);
+  out.error_estimate = std::move(combined.error);
+  out.partitions_scanned = picked.size();
+  out.partitions_total = source.num_partitions();
+  out.bytes_moved = source.ColdScanBytes(
+      picked, query::ReferencedColumns(query::CompileQuery(q)));
+  return out;
+}
+
 }  // namespace
 
 QueryScheduler::QueryScheduler() : QueryScheduler(Options()) {}
@@ -113,7 +141,7 @@ void QueryScheduler::DriverMain() {
 }
 
 QueryScheduler::Admission QueryScheduler::Admit(const SubmitOptions& submit,
-                                                query::ExecOptions opts) const {
+                                                query::ExecOptions exec) const {
   Admission a;
   a.token = submit.cancel;
   if (a.token == nullptr && submit.deadline.count() != 0) {
@@ -124,96 +152,17 @@ QueryScheduler::Admission QueryScheduler::Admit(const SubmitOptions& submit,
     // counts against the deadline, which is what a latency SLO means.
     a.token->SetDeadline(std::chrono::steady_clock::now() + submit.deadline);
   }
-  opts.pool = pool_;
-  opts.query_class = submit.query_class;
-  opts.cancel = a.token.get();
-  a.opts = std::move(opts);
+  exec.pool = pool_;
+  exec.cancel = a.token.get();
+  a.opts = std::move(exec);
   return a;
 }
 
-// Classless overloads delegate to the multi-tenant ones: a default
-// SubmitOptions is the batch class with no deadline and no token, which
-// admits and executes exactly as the pre-class scheduler did.
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::ShardedTable& table,
-    query::ExecOptions opts) {
-  return Submit(std::move(query), table, SubmitOptions{}, std::move(opts));
-}
-
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::PartitionedTable& table,
-    query::ExecOptions opts) {
-  return Submit(std::move(query), table, SubmitOptions{}, std::move(opts));
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::PartitionedTable& table,
-                               query::ExecOptions opts) {
-  return SubmitPartials(std::move(query), table, SubmitOptions{},
-                        std::move(opts));
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::ShardedTable& table,
-                               query::ExecOptions opts) {
-  return SubmitPartials(std::move(query), table, SubmitOptions{},
-                        std::move(opts));
-}
-
 std::future<query::QueryAnswer> QueryScheduler::Submit(
     query::Query query, const storage::PartitionSource& source,
-    query::ExecOptions opts) {
-  return Submit(std::move(query), source, SubmitOptions{}, std::move(opts));
-}
-
-std::future<ApproxAnswer> QueryScheduler::SubmitApproximate(
-    query::Query query, const storage::PartitionSource& source,
-    const core::PartitionPicker& picker, ApproxOptions approx,
-    query::ExecOptions opts) {
-  return SubmitApproximate(std::move(query), source, picker, approx,
-                           SubmitOptions{}, std::move(opts));
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::PartitionSource& source,
-                               query::ExecOptions opts) {
-  return SubmitPartials(std::move(query), source, SubmitOptions{},
-                        std::move(opts));
-}
-
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::ShardedTable& table,
-    SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &table, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::ExactAnswer(
-            q, query::EvaluateAllPartitions(q, table, a.opts));
-      },
-      submit.query_class);
-}
-
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::PartitionedTable& table,
-    SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &table, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::ExactAnswer(
-            q, query::EvaluateAllPartitions(q, table, a.opts));
-      },
-      submit.query_class);
-}
-
-std::future<query::QueryAnswer> QueryScheduler::Submit(
-    query::Query query, const storage::PartitionSource& source,
-    SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
+    query::ExecOptions exec, SubmitOptions submit) {
+  Admission a = Admit(submit, std::move(exec));
+  const QueryClass cls = a.opts.query_class;
   return Defer(
       [q = std::move(query), &source, a = std::move(a)] {
         a.ThrowIfDead();
@@ -224,57 +173,18 @@ std::future<query::QueryAnswer> QueryScheduler::Submit(
         return query::ExactAnswer(
             q, query::EvaluateAllPartitions(q, source, a.opts));
       },
-      submit.query_class);
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::PartitionedTable& table,
-                               SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &table, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::EvaluateAllPartitions(q, table, a.opts);
-      },
-      submit.query_class);
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::ShardedTable& table,
-                               SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &table, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::EvaluateAllPartitions(q, table, a.opts);
-      },
-      submit.query_class);
-}
-
-std::future<std::vector<query::PartitionAnswer>>
-QueryScheduler::SubmitPartials(query::Query query,
-                               const storage::PartitionSource& source,
-                               SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
-  return Defer(
-      [q = std::move(query), &source, a = std::move(a)] {
-        a.ThrowIfDead();
-        return query::EvaluateAllPartitions(q, source, a.opts);
-      },
-      submit.query_class);
+      cls);
 }
 
 std::future<ApproxAnswer> QueryScheduler::SubmitApproximate(
     query::Query query, const storage::PartitionSource& source,
     const core::PartitionPicker& picker, ApproxOptions approx,
-    SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
+    query::ExecOptions exec, SubmitOptions submit) {
+  Admission a = Admit(submit, std::move(exec));
+  const QueryClass cls = a.opts.query_class;
   return Defer(
       [q = std::move(query), &source, &picker, approx, a = std::move(a)] {
         a.ThrowIfDead();
-        const query::ExecOptions& opts = a.opts;
         const double frac = approx.sampling_fraction;
         if (!(frac > 0.0) || frac > 1.0) {  // !(> 0) also rejects NaN
           throw std::invalid_argument(
@@ -340,32 +250,16 @@ std::future<ApproxAnswer> QueryScheduler::SubmitApproximate(
         // of the order the picker emitted its choices in — and a full
         // uniform selection reproduces the exact answer bit for bit.
         query::CanonicalizeSelection(&sel.parts);
-        std::vector<size_t> picked;
-        picked.reserve(sel.parts.size());
-        for (const auto& wp : sel.parts) picked.push_back(wp.partition);
-
-        const storage::PickedSource view(source, picked);
-        std::vector<query::PartitionAnswer> partials =
-            query::EvaluateAllPartitions(q, view, opts);
-        query::ApproxCombined combined =
-            query::CombineWeightedWithError(q, partials, sel.parts);
-
-        ApproxAnswer out;
-        out.value = std::move(combined.value);
-        out.error_estimate = std::move(combined.error);
-        out.partitions_scanned = picked.size();
-        out.partitions_total = n;
-        out.bytes_moved = source.ColdScanBytes(
-            picked, query::ReferencedColumns(query::CompileQuery(q)));
-        return out;
+        return ScanWeighted(q, source, sel.parts, a.opts);
       },
-      submit.query_class);
+      cls);
 }
 
 std::future<ApproxAnswer> QueryScheduler::SubmitDegradable(
     query::Query query, const storage::PartitionSource& source,
-    SubmitOptions submit, query::ExecOptions opts) {
-  Admission a = Admit(submit, std::move(opts));
+    query::ExecOptions exec, SubmitOptions submit) {
+  Admission a = Admit(submit, std::move(exec));
+  const QueryClass cls = a.opts.query_class;
   const DegradedMode mode = submit.degraded_mode;
   return Defer(
       [q = std::move(query), &source, mode, a = std::move(a)] {
@@ -395,24 +289,10 @@ std::future<ApproxAnswer> QueryScheduler::SubmitDegradable(
         // honest. With nothing lost the weights are exactly 1, the view
         // covers every partition, and the combine is bit-identical to
         // the exact path's ExactAnswer with a zero error surface.
-        const std::vector<query::WeightedPartition> sel =
-            query::DegradedSelection(reachable, n);
-        const storage::PickedSource view(source, reachable);
-        std::vector<query::PartitionAnswer> partials =
-            query::EvaluateAllPartitions(q, view, a.opts);
-        query::ApproxCombined combined =
-            query::CombineWeightedWithError(q, partials, sel);
-
-        ApproxAnswer out;
-        out.value = std::move(combined.value);
-        out.error_estimate = std::move(combined.error);
-        out.partitions_scanned = reachable.size();
-        out.partitions_total = n;
-        out.bytes_moved = source.ColdScanBytes(
-            reachable, query::ReferencedColumns(query::CompileQuery(q)));
-        return out;
+        return ScanWeighted(q, source, query::DegradedSelection(reachable, n),
+                            a.opts);
       },
-      submit.query_class);
+      cls);
 }
 
 }  // namespace ps3::runtime

@@ -1,25 +1,35 @@
 // Concurrent multi-query submission onto the shared resident WorkerPool.
 //
 // QueryScheduler is the admission layer for the paper's query-stream
-// setting: many exact aggregate queries arrive at once, and instead of
-// serializing whole-query scans, each Submit() becomes a task on a small
-// set of resident driver threads. A driver executes the query's partition
-// fan-out as its own WorkerPool job, so the chunks of several in-flight
-// queries interleave on the shared lanes (round-robin, capped per query by
-// ExecOptions::num_threads) — throughput comes from admitting concurrent
-// work onto shared execution resources rather than from one query owning
-// every lane.
+// setting: many aggregate queries arrive at once, and instead of
+// serializing whole-query scans, each submission becomes a task on a
+// small set of resident driver threads. A driver executes the query's
+// partition fan-out as its own WorkerPool job, so the chunks of several
+// in-flight queries interleave on the shared lanes (round-robin, capped
+// per query by ExecOptions::num_threads) — throughput comes from
+// admitting concurrent work onto shared execution resources rather than
+// from one query owning every lane.
 //
-// Admission is multi-tenant: every Submit* has an overload taking
-// SubmitOptions{query_class, deadline, cancel}. Interactive-class queries
-// jump the driver queue ahead of batch work and preempt batch jobs at
-// chunk granularity on the pool (weighted — batch still progresses); a
-// deadline is armed at admission (queue wait counts against it), and a
-// cancelled or expired query resolves its future with QueryAborted
-// carrying Status::Cancelled / Status::DeadlineExceeded — its cache pins
-// are released, its cold loads unwound, and co-resident queries are
-// untouched. Classless call sites default to batch and behave exactly as
-// before.
+// There is one entry point per answer type, each over a
+// storage::PartitionSource (resident tables go through
+// storage::ResidentShardedSource):
+//  - Submit: the exact answer;
+//  - SubmitApproximate: a picker-chosen weighted partition subset,
+//    HT-reweighted, with its error surface;
+//  - SubmitDegradable: the exact answer, or — when partitions are lost
+//    and the caller opts in — the reweighted answer over the reachable
+//    set.
+// Defer admits any other task.
+//
+// Admission is multi-tenant. ExecOptions::query_class is the query's
+// class: interactive queries jump the driver queue ahead of batch work
+// and preempt batch jobs at chunk granularity on the pool (weighted —
+// batch still progresses). SubmitOptions{deadline, cancel} arms a
+// deadline at admission (queue wait counts against it); a cancelled or
+// expired query resolves its future with QueryAborted carrying
+// Status::Cancelled / Status::DeadlineExceeded — its cache pins are
+// released, its cold loads unwound, and co-resident queries are
+// untouched. Defaults are batch, no deadline, no token.
 //
 // Determinism contract: each query's per-partition reduction is ordered
 // (index-addressed slots, ascending row order within a partition), so the
@@ -30,9 +40,9 @@
 // query: a task that throws fails only its own future; sibling queries
 // and the resident lanes are unaffected.
 //
-// Tables are borrowed, not owned: a table passed to Submit must stay alive
-// until the returned future is ready (or the scheduler is destroyed,
-// which drains all admitted work).
+// Sources are borrowed, not owned: a source passed to a Submit* call must
+// stay alive until the returned future is ready (or the scheduler is
+// destroyed, which drains all admitted work).
 #ifndef PS3_RUNTIME_QUERY_SCHEDULER_H_
 #define PS3_RUNTIME_QUERY_SCHEDULER_H_
 
@@ -53,7 +63,6 @@
 #include "query/evaluator.h"
 #include "runtime/worker_pool.h"
 #include "storage/partition_source.h"
-#include "storage/sharded_table.h"
 
 namespace ps3::core {
 class PartitionPicker;
@@ -107,12 +116,9 @@ enum class DegradedMode : uint8_t {
   kApproximate = 1,
 };
 
-/// Per-query admission options for the multi-tenant Submit* overloads.
+/// Per-query admission options for the Submit* entry points. The query
+/// class is not here: it is query::ExecOptions::query_class.
 struct SubmitOptions {
-  /// kInteractive jumps the driver queue ahead of batch tasks and wins
-  /// the weighted chunk-granularity picks on the pool; kBatch (default)
-  /// matches the classless overloads exactly.
-  QueryClass query_class = QueryClass::kBatch;
   /// Relative deadline, armed at *admission* so queue wait counts
   /// against it. 0 (default) = none; <= 0 is already expired (the query
   /// fast-fails with DeadlineExceeded before touching a partition). On
@@ -160,27 +166,24 @@ class QueryScheduler {
   /// Tasks admitted but not yet finished (queued + executing).
   size_t pending() const;
 
-  /// Admits an exact aggregate query over a sharded table. The future
-  /// resolves to the finalized answer (every partition, weight 1),
-  /// bit-identical to serial evaluation; it rethrows if evaluation threw.
-  /// `opts.pool` is overridden with the scheduler's pool;
-  /// `opts.num_threads` caps this query's lane share while other queries
-  /// are in flight.
-  std::future<query::QueryAnswer> Submit(query::Query query,
-                                         const storage::ShardedTable& table,
-                                         query::ExecOptions opts = {});
-  /// Same, over a flat partitioned table.
-  std::future<query::QueryAnswer> Submit(
-      query::Query query, const storage::PartitionedTable& table,
-      query::ExecOptions opts = {});
-  /// Same, over an abstract PartitionSource (resident adapter or the io
-  /// layer's cold/cached stores). The source — and whatever it borrows
-  /// (store, prefetch pipeline) — must stay alive until the future is
-  /// ready. A cold-load failure (IO error, checksum mismatch) poisons
-  /// only this query's future.
+  /// Admits an exact aggregate query over `source` (a resident table via
+  /// storage::ResidentShardedSource, or the io layer's cold/cached
+  /// stores). The future resolves to the finalized answer (every
+  /// partition, weight 1), bit-identical to serial evaluation; it
+  /// rethrows if evaluation threw. `exec.pool` is overridden with the
+  /// scheduler's pool; `exec.num_threads` caps this query's lane share
+  /// while other queries are in flight; `exec.query_class` picks the
+  /// driver queue and the pool's chunk-pick weight. The source — and
+  /// whatever it borrows (store, prefetch pipeline) — must stay alive
+  /// until the future is ready. A cold-load failure (IO error, checksum
+  /// mismatch) poisons only this query's future; lost partitions
+  /// (PartitionSource::UnreachablePartitions) fail it with QueryFailed
+  /// naming them before any byte moves — resubmit through
+  /// SubmitDegradable to opt into a degraded answer.
   std::future<query::QueryAnswer> Submit(query::Query query,
                                          const storage::PartitionSource& source,
-                                         query::ExecOptions opts = {});
+                                         query::ExecOptions exec = {},
+                                         SubmitOptions submit = {});
 
   /// Admits an *approximate* aggregate query: `picker` chooses a weighted
   /// partition subset (budget = ceil(sampling_fraction * partitions)),
@@ -200,40 +203,7 @@ class QueryScheduler {
   std::future<ApproxAnswer> SubmitApproximate(
       query::Query query, const storage::PartitionSource& source,
       const core::PartitionPicker& picker, ApproxOptions approx,
-      query::ExecOptions opts = {});
-
-  /// Admits a query but resolves to the raw per-partition answers (global
-  /// partition order) — the form the trainer and pickers consume.
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::PartitionedTable& table,
-      query::ExecOptions opts = {});
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::ShardedTable& table,
-      query::ExecOptions opts = {});
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::PartitionSource& source,
-      query::ExecOptions opts = {});
-
-  /// Multi-tenant admission: same contracts as the overloads above, plus
-  /// SubmitOptions semantics — class-priority queueing and lane picks, a
-  /// deadline armed at admission, cooperative cancellation. An aborted
-  /// query's future rethrows QueryAborted; survivors stay bit-identical
-  /// to serial evaluation.
-  std::future<query::QueryAnswer> Submit(query::Query query,
-                                         const storage::ShardedTable& table,
-                                         SubmitOptions submit,
-                                         query::ExecOptions opts = {});
-  std::future<query::QueryAnswer> Submit(
-      query::Query query, const storage::PartitionedTable& table,
-      SubmitOptions submit, query::ExecOptions opts = {});
-  std::future<query::QueryAnswer> Submit(query::Query query,
-                                         const storage::PartitionSource& source,
-                                         SubmitOptions submit,
-                                         query::ExecOptions opts = {});
-  std::future<ApproxAnswer> SubmitApproximate(
-      query::Query query, const storage::PartitionSource& source,
-      const core::PartitionPicker& picker, ApproxOptions approx,
-      SubmitOptions submit, query::ExecOptions opts = {});
+      query::ExecOptions exec = {}, SubmitOptions submit = {});
 
   /// Degradation-aware exact submission: the graceful-degradation entry
   /// point. With every partition reachable, resolves to an ApproxAnswer
@@ -250,17 +220,7 @@ class QueryScheduler {
   /// thread count, or concurrent load.
   std::future<ApproxAnswer> SubmitDegradable(
       query::Query query, const storage::PartitionSource& source,
-      SubmitOptions submit = {}, query::ExecOptions opts = {});
-
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::PartitionedTable& table,
-      SubmitOptions submit, query::ExecOptions opts = {});
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::ShardedTable& table,
-      SubmitOptions submit, query::ExecOptions opts = {});
-  std::future<std::vector<query::PartitionAnswer>> SubmitPartials(
-      query::Query query, const storage::PartitionSource& source,
-      SubmitOptions submit, query::ExecOptions opts = {});
+      query::ExecOptions exec = {}, SubmitOptions submit = {});
 
   /// Generic admission: runs `fn` on a driver thread and resolves the
   /// future with its result (or exception). Parallel passes inside `fn`
@@ -279,8 +239,8 @@ class QueryScheduler {
   }
 
  private:
-  /// The evaluation options + token a Submit overload hands its deferred
-  /// task: pool pinned, class stamped, deadline armed (at admission).
+  /// The evaluation options + token a Submit* call hands its deferred
+  /// task: pool pinned, deadline armed (at admission).
   /// The token rides in the task's capture so an externally held
   /// CancelToken stays alive until the future resolves.
   struct Admission {
@@ -291,7 +251,7 @@ class QueryScheduler {
     /// expired while queued fast-fails without touching a partition.
     void ThrowIfDead() const { ThrowIfAborted(token.get()); }
   };
-  Admission Admit(const SubmitOptions& submit, query::ExecOptions opts) const;
+  Admission Admit(const SubmitOptions& submit, query::ExecOptions exec) const;
 
   void Enqueue(std::function<void()> task,
                QueryClass query_class = QueryClass::kBatch);

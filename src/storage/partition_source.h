@@ -79,47 +79,26 @@ class PartitionSource {
   /// Thread-safe: the fan-out calls this from concurrent pool lanes.
   /// `columns` is the projection contract: the caller promises to touch
   /// only those columns, and the source may leave the rest empty.
-  virtual Result<PinnedPartition> Acquire(size_t global_index,
-                                          const ColumnSet& columns) const = 0;
-
-  /// Unhinted acquire: every column materialized.
-  Result<PinnedPartition> Acquire(size_t global_index) const {
-    return Acquire(global_index, ColumnSet::All());
-  }
-
-  /// Control-aware acquire: like Acquire(index, columns), but carrying
-  /// the scan's class and cancel token so cold sources can abort a
-  /// pending load (returning the token's Status with every pin already
-  /// taken released) instead of completing IO for a dead query. The
-  /// default ignores the control and delegates, so sources that never
-  /// block (resident tables, test fakes) need not override it.
+  /// `control` carries the scan's class and cancel token, so cold sources
+  /// can abort a pending load (returning the token's Status with every
+  /// pin already taken released) instead of completing IO for a dead
+  /// query.
   virtual Result<PinnedPartition> Acquire(size_t global_index,
                                           const ColumnSet& columns,
-                                          const ScanControl& control) const {
-    (void)control;
-    return Acquire(global_index, columns);
-  }
+                                          const ScanControl& control) const = 0;
 
   /// Advisory: the scan cursor has entered shard `s` (fired once per
   /// shard per scan, from whichever lane gets there first), and will read
   /// only `columns`. Out-of-core sources use it to stage upcoming shards'
-  /// column segments ahead of the scan; it must not affect results, only
-  /// timing.
-  virtual void WillScanShard(size_t s, const ColumnSet& columns) const {
-    (void)s;
-    (void)columns;
-  }
-
-  void WillScanShard(size_t s) const { WillScanShard(s, ColumnSet::All()); }
-
-  /// Control-aware scan-entry hint: the class routes an out-of-core
-  /// source's read-ahead to the right share of the prefetch byte budget
-  /// (batch staging may not starve interactive cold loads). Advisory like
-  /// the 2-arg form; the default ignores the control and delegates.
+  /// column segments ahead of the scan, charging the read-ahead to the
+  /// share of the prefetch byte budget `control.query_class` owns (batch
+  /// staging may not starve interactive cold loads). It must not affect
+  /// results, only timing. Default no-op.
   virtual void WillScanShard(size_t s, const ColumnSet& columns,
                              const ScanControl& control) const {
+    (void)s;
+    (void)columns;
     (void)control;
-    WillScanShard(s, columns);
   }
 
   /// Advisory read-ahead hook with an *explicit* shard plan: the scan has
@@ -138,7 +117,9 @@ class PartitionSource {
 
   /// Control-aware plan hint, for views that must forward the scan's
   /// class/token along with their filtered plan. Default delegates to the
-  /// classless form.
+  /// classless form. Both forms stay virtual: the serving benchmark's
+  /// source (perfbench/src/adapter.cc) overrides each with `override`, so
+  /// removing the classless one would break that build.
   virtual void StageHint(const std::vector<std::vector<size_t>>& plan,
                          size_t current, const ColumnSet& columns,
                          const ScanControl& control) const {
@@ -171,9 +152,9 @@ class PartitionSource {
 
 /// Resident adapter: a ShardedTable viewed as a PartitionSource. Acquire
 /// never fails, pins nothing (the table is borrowed, per the existing
-/// evaluator contract), and ignores the column hint — every column is
-/// already resident; WillScanShard is a no-op. The table must outlive
-/// the source.
+/// evaluator contract), and ignores the column hint and the control —
+/// every column is already resident; WillScanShard is a no-op. The table
+/// must outlive the source.
 class ResidentShardedSource : public PartitionSource {
  public:
   explicit ResidentShardedSource(const ShardedTable& table) : table_(table) {}
@@ -185,11 +166,12 @@ class ResidentShardedSource : public PartitionSource {
     return table_.shard(s);
   }
   Result<PinnedPartition> Acquire(size_t global_index,
-                                  const ColumnSet& columns) const override {
+                                  const ColumnSet& columns,
+                                  const ScanControl& control) const override {
     (void)columns;
+    (void)control;
     return PinnedPartition(table_.partition(global_index));
   }
-  using PartitionSource::Acquire;
 
  private:
   const ShardedTable& table_;

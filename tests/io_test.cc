@@ -617,8 +617,9 @@ TEST(PartitionStore, CorruptPartitionFailsFetchAndScan) {
   // Through the scheduler: only the cold query's future is poisoned.
   runtime::QueryScheduler scheduler;
   storage::ShardedTable st(pt, 2);
+  storage::ResidentShardedSource resident_src(st);
   auto bad = scheduler.Submit(q, cold);
-  auto good = scheduler.Submit(q, st);
+  auto good = scheduler.Submit(q, resident_src);
   EXPECT_THROW(bad.get(), std::runtime_error);
   EXPECT_FALSE(good.get().empty());
 }
@@ -938,6 +939,52 @@ TEST(ColdScan, EvaluatorPrunesToReferencedColumns) {
   ExpectAnswersEqual(expected, query::ExactAnswer(count_star, counted));
 }
 
+/// A cold source that ignores the scan's projection hint and fetches
+/// whole partitions — the shape of a full-read baseline.
+class FullReadSource : public io::ColdShardedSource {
+ public:
+  using io::ColdShardedSource::ColdShardedSource;
+
+  Result<storage::PinnedPartition> Acquire(
+      size_t i, const storage::ColumnSet& columns,
+      const storage::ScanControl& control) const override {
+    (void)columns;
+    return io::ColdShardedSource::Acquire(i, storage::ColumnSet::All(),
+                                          control);
+  }
+};
+
+TEST(ColdScan, AcquireOverrideIsTheEvaluatorsPath) {
+  // A subclass's Acquire override must be what the scan calls: the
+  // full-read source moves strictly more bytes than the pruned base for
+  // a query over a column subset, and both answer bit-identically.
+  auto bundle = workload::MakeTpchStar(2000, /*seed=*/59);
+  storage::PartitionedTable pt(bundle.table, 8);
+  const std::string dir = MakeSpillDir();
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+  auto pruned_store = io::PartitionStore::Open(dir, {});
+  auto full_store = io::PartitionStore::Open(dir, {});
+  ASSERT_TRUE(pruned_store.ok());
+  ASSERT_TRUE(full_store.ok());
+
+  query::Query q = CountSumQuery(*bundle.table);
+  const size_t n_cols = (*pruned_store)->schema().num_columns();
+  ASSERT_LT(query::ReferencedColumns(query::CompileQuery(q))
+                .Resolve(n_cols)
+                .size(),
+            n_cols)
+      << "query must not reference every column";
+
+  io::ColdShardedSource pruned(pruned_store->get(), 2);
+  FullReadSource full(full_store->get(), 2);
+  auto pruned_answers = query::EvaluateAllPartitions(q, pruned, {});
+  auto full_answers = query::EvaluateAllPartitions(q, full, {});
+  EXPECT_GT((*full_store)->store_stats().bytes_loaded,
+            (*pruned_store)->store_stats().bytes_loaded);
+  ExpectAnswersEqual(query::ExactAnswer(q, pruned_answers),
+                     query::ExactAnswer(q, full_answers));
+}
+
 TEST(PrefetchPipeline, AdaptiveDistanceWidensWhenLoadsLagScans) {
   auto bundle = workload::MakeKdd(1200, /*seed=*/61);
   storage::PartitionedTable pt(bundle.table, 12);
@@ -1147,7 +1194,7 @@ TEST(ColdScanCancel, AbortedColdQueryReleasesEverythingAndSparesSiblings) {
     if (round == 0) submit.cancel->Cancel();  // deterministic abort
     query::ExecOptions eopts;
     eopts.num_threads = 2;
-    auto victim = scheduler.Submit(q, cold, submit, eopts);
+    auto victim = scheduler.Submit(q, cold, eopts, submit);
     auto sibling = scheduler.Submit(q, cold, eopts);
     if (round != 0) submit.cancel->Cancel();  // racy abort
     try {

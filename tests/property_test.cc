@@ -561,7 +561,8 @@ TEST_P(ShardInvariance, BitIdenticalToFlatScan) {
       opts.num_threads = 1;
       auto flat = query::EvaluateAllPartitions(q, pt, opts);
       opts.num_threads = 3;  // fan-out parallelism must not matter either
-      auto fanned = query::EvaluateAllPartitions(q, sharded, opts);
+      auto fanned = query::EvaluateAllPartitions(
+          q, storage::ResidentShardedSource(sharded), opts);
       ExpectAnswersBitIdentical(flat, fanned,
                                 policy == query::ExecPolicy::kScalar
                                     ? "sharded-scalar"
@@ -1157,7 +1158,7 @@ TEST(DegradedServing, BitIdenticalAcrossStoreConfigsAndPolicies) {
     submit.degraded_mode = runtime::DegradedMode::kApproximate;
     for (size_t qi = 0; qi < fx.queries.size(); ++qi) {
       runtime::ApproxAnswer ans =
-          scheduler.SubmitDegradable(fx.queries[qi], cold, submit, eopts)
+          scheduler.SubmitDegradable(fx.queries[qi], cold, eopts, submit)
               .get();
       EXPECT_EQ(ans.partitions_scanned, reachable.size()) << cfg.name;
       EXPECT_EQ(ans.partitions_total, n) << cfg.name;

@@ -56,16 +56,19 @@ void ExpectAnswerBitIdentical(const query::QueryAnswer& expected,
 }
 
 /// Shared fixture data: a TPC-H-style table (13 partitions — not a
-/// multiple of any shard count, so shard runs are uneven), a 4-shard view
-/// of it, a randomized query set, and the serial scalar reference answer
-/// for every query.
+/// multiple of any shard count, so shard runs are uneven), resident
+/// sources over a 1-shard and a 4-shard view of it, a randomized query
+/// set, and the serial scalar reference answer for every query.
 struct StreamFixture {
   static constexpr size_t kQueries = 12;
 
   StreamFixture() {
     bundle = workload::MakeTpchStar(4000, /*seed=*/29);
     pt = std::make_unique<storage::PartitionedTable>(bundle.table, 13);
+    one_shard = std::make_unique<storage::ShardedTable>(*pt, 1);
     sharded = std::make_unique<storage::ShardedTable>(*pt, 4);
+    flat = std::make_unique<storage::ResidentShardedSource>(*one_shard);
+    resident = std::make_unique<storage::ResidentShardedSource>(*sharded);
     workload::QueryGenerator gen(bundle.table.get(), bundle.spec);
     queries = gen.GenerateSet(kQueries, /*seed=*/97);
     serial.reserve(queries.size());
@@ -80,7 +83,10 @@ struct StreamFixture {
 
   workload::DatasetBundle bundle;
   std::unique_ptr<storage::PartitionedTable> pt;
+  std::unique_ptr<storage::ShardedTable> one_shard;
   std::unique_ptr<storage::ShardedTable> sharded;
+  std::unique_ptr<storage::ResidentShardedSource> flat;
+  std::unique_ptr<storage::ResidentShardedSource> resident;
   std::vector<query::Query> queries;
   std::vector<query::QueryAnswer> serial;
 };
@@ -118,12 +124,10 @@ TEST_P(SchedulerEquivalence, ConcurrentSubmissionBitIdenticalToSerial) {
           query::ExecOptions opts;
           opts.policy = policy;
           opts.num_threads = 1 + static_cast<int>(i % 3);
-          // Alternate flat and sharded admission: both entry points must
+          // Alternate 1-shard and 4-shard sources: both shard plans must
           // meet the same determinism contract.
-          futures[t].push_back(
-              i % 2 == 0
-                  ? scheduler.Submit(fx.queries[i], *fx.pt, opts)
-                  : scheduler.Submit(fx.queries[i], *fx.sharded, opts));
+          futures[t].push_back(scheduler.Submit(
+              fx.queries[i], i % 2 == 0 ? *fx.flat : *fx.resident, opts));
         }
       });
     }
@@ -149,25 +153,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, SchedulerEquivalence,
                                       : std::string("vectorized");
                          });
 
-TEST(QueryScheduler, PartialsMatchDirectEvaluation) {
-  StreamFixture& fx = Fixture();
-  runtime::QueryScheduler scheduler;
-  std::vector<std::future<std::vector<query::PartitionAnswer>>> futures;
-  for (size_t i = 0; i < fx.queries.size(); ++i) {
-    futures.push_back(i % 2 == 0
-                          ? scheduler.SubmitPartials(fx.queries[i], *fx.pt)
-                          : scheduler.SubmitPartials(fx.queries[i],
-                                                     *fx.sharded));
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    auto partials = futures[i].get();
-    ASSERT_EQ(partials.size(), fx.pt->num_partitions());
-    ExpectAnswerBitIdentical(fx.serial[i],
-                             query::ExactAnswer(fx.queries[i], partials),
-                             "partials");
-  }
-}
-
 TEST(QueryScheduler, ThrowingTaskFailsOnlyItsOwnFuture) {
   StreamFixture& fx = Fixture();
   runtime::QueryScheduler::Options sopts;
@@ -182,7 +167,7 @@ TEST(QueryScheduler, ThrowingTaskFailsOnlyItsOwnFuture) {
   std::vector<std::future<void>> poisoned;
   for (int round = 0; round < 3; ++round) {
     for (size_t i = 0; i < 4; ++i) {
-      good.push_back(scheduler.Submit(fx.queries[i], *fx.pt));
+      good.push_back(scheduler.Submit(fx.queries[i], *fx.flat));
       poisoned.push_back(scheduler.Defer([&scheduler] {
         scheduler.pool().ParallelFor(1024, [](size_t j) {
           if (j == 513) throw std::runtime_error("kernel fault");
@@ -198,7 +183,7 @@ TEST(QueryScheduler, ThrowingTaskFailsOnlyItsOwnFuture) {
                              "healthy-sibling");
   }
   // Still serviceable: a fresh round after the faults.
-  auto after = scheduler.Submit(fx.queries[5], *fx.sharded);
+  auto after = scheduler.Submit(fx.queries[5], *fx.resident);
   ExpectAnswerBitIdentical(fx.serial[5], after.get(), "after-faults");
 }
 
@@ -211,7 +196,7 @@ TEST(QueryScheduler, DestructorDrainsAdmittedWork) {
     sopts.num_drivers = 2;  // fewer drivers than admitted queries
     runtime::QueryScheduler scheduler(sopts);
     for (size_t i = 0; i < fx.queries.size(); ++i) {
-      futures.push_back(scheduler.Submit(fx.queries[i], *fx.pt));
+      futures.push_back(scheduler.Submit(fx.queries[i], *fx.flat));
     }
     futures.push_back(scheduler.Defer([&] {
       ran.fetch_add(1);
@@ -243,7 +228,7 @@ TEST(QueryScheduler, SubmitIsThreadSafeUnderChurn) {
       }
     });
   }
-  auto q = scheduler.Submit(fx.queries[0], *fx.pt);
+  auto q = scheduler.Submit(fx.queries[0], *fx.flat);
   for (auto& s : submitters) s.join();
   size_t collected = 0;
   for (auto& per_thread : futs) {
@@ -281,18 +266,16 @@ TEST(MultiTenant, MixedClassConcurrentBitIdenticalToSerial) {
           opts.policy = i % 2 == 0 ? query::ExecPolicy::kScalar
                                    : query::ExecPolicy::kVectorized;
           opts.num_threads = 1 + static_cast<int>(i % 3);
+          opts.query_class = (i + t) % 2 == 0 ? QueryClass::kInteractive
+                                              : QueryClass::kBatch;
           runtime::SubmitOptions submit;
-          submit.query_class = (i + t) % 2 == 0 ? QueryClass::kInteractive
-                                                : QueryClass::kBatch;
           // A generous deadline on some queries arms the whole deadline
           // machinery (token creation, chunk-boundary polls) without ever
           // firing.
           if (i % 3 == 0) submit.deadline = std::chrono::seconds(300);
-          futures[t].push_back(
-              i % 2 == 0
-                  ? scheduler.Submit(fx.queries[i], *fx.pt, submit, opts)
-                  : scheduler.Submit(fx.queries[i], *fx.sharded, submit,
-                                     opts));
+          futures[t].push_back(scheduler.Submit(
+              fx.queries[i], i % 2 == 0 ? *fx.flat : *fx.resident, opts,
+              submit));
         }
       });
     }
@@ -319,8 +302,8 @@ TEST(MultiTenant, ExpiredDeadlineFailsFastWithoutPoisoningSiblings) {
     for (size_t i = 0; i < 4; ++i) {
       runtime::SubmitOptions submit;
       submit.deadline = std::chrono::microseconds(-1);  // already expired
-      dead.push_back(scheduler.Submit(fx.queries[i], *fx.pt, submit));
-      alive.push_back(scheduler.Submit(fx.queries[i], *fx.sharded));
+      dead.push_back(scheduler.Submit(fx.queries[i], *fx.flat, {}, submit));
+      alive.push_back(scheduler.Submit(fx.queries[i], *fx.resident));
     }
   }
   for (auto& f : dead) {
@@ -348,7 +331,7 @@ TEST(MultiTenant, CancelResolvesFutureAndSparesSiblings) {
     runtime::SubmitOptions submit;
     submit.cancel = std::make_shared<CancelToken>();
     submit.cancel->Cancel();
-    auto fut = scheduler.Submit(fx.queries[0], *fx.pt, submit);
+    auto fut = scheduler.Submit(fx.queries[0], *fx.flat, {}, submit);
     try {
       fut.get();
       FAIL() << "expected QueryAborted";
@@ -364,8 +347,8 @@ TEST(MultiTenant, CancelResolvesFutureAndSparesSiblings) {
   for (int round = 0; round < 8; ++round) {
     runtime::SubmitOptions submit;
     submit.cancel = std::make_shared<CancelToken>();
-    auto racy = scheduler.Submit(fx.queries[1], *fx.pt, submit);
-    auto sibling = scheduler.Submit(fx.queries[2], *fx.sharded);
+    auto racy = scheduler.Submit(fx.queries[1], *fx.flat, {}, submit);
+    auto sibling = scheduler.Submit(fx.queries[2], *fx.resident);
     std::thread canceller(
         [token = submit.cancel] { token->Cancel(); });
     try {
@@ -384,21 +367,24 @@ TEST(MultiTenant, CancelResolvesFutureAndSparesSiblings) {
     submit.cancel->Cancel();
     std::vector<std::future<query::QueryAnswer>> group;
     for (size_t i = 0; i < 3; ++i) {
-      group.push_back(scheduler.Submit(fx.queries[i], *fx.pt, submit));
+      group.push_back(scheduler.Submit(fx.queries[i], *fx.flat, {}, submit));
     }
     for (auto& f : group) EXPECT_THROW(f.get(), QueryAborted);
   }
   // Scheduler still serviceable after all the aborts.
   ExpectAnswerBitIdentical(fx.serial[3],
-                           scheduler.Submit(fx.queries[3], *fx.pt).get(),
+                           scheduler.Submit(fx.queries[3], *fx.flat).get(),
                            "after-cancels");
 }
 
 TEST(MultiTenant, InteractiveJumpsTheDriverQueue) {
   // One driver, held busy by a gate task while a batch backlog and then
-  // one interactive task are enqueued. When the gate opens, the driver
-  // must pop the interactive task before any of the earlier-enqueued
-  // batch tasks — the two-level queue, observed deterministically.
+  // two interactive tasks are enqueued: a Defer with the interactive
+  // class, and a Submit whose ExecOptions::query_class is interactive.
+  // When the gate opens, the driver must run both interactive tasks
+  // before any of the earlier-enqueued batch tasks — the two-level
+  // queue, observed deterministically.
+  StreamFixture& fx = Fixture();
   runtime::QueryScheduler::Options sopts;
   sopts.num_drivers = 1;
   runtime::QueryScheduler scheduler(sopts);
@@ -409,11 +395,16 @@ TEST(MultiTenant, InteractiveJumpsTheDriverQueue) {
 
   std::mutex order_mu;
   std::vector<int> order;
+  // Set before the gate opens, read by the batch tasks once it has.
+  std::shared_future<query::QueryAnswer> submitted;
   std::vector<std::future<void>> batch;
   for (int i = 0; i < 4; ++i) {
-    batch.push_back(scheduler.Defer([&order_mu, &order, i] {
+    batch.push_back(scheduler.Defer([&order_mu, &order, &submitted, i] {
+      const bool submitted_done =
+          submitted.wait_for(std::chrono::seconds(0)) ==
+          std::future_status::ready;
       std::lock_guard<std::mutex> lock(order_mu);
-      order.push_back(i);
+      order.push_back(submitted_done ? i : -1);
     }));
   }
   auto interactive = scheduler.Defer(
@@ -422,13 +413,21 @@ TEST(MultiTenant, InteractiveJumpsTheDriverQueue) {
         order.push_back(100);
       },
       QueryClass::kInteractive);
+  query::ExecOptions exec;
+  exec.query_class = QueryClass::kInteractive;
+  submitted = scheduler.Submit(fx.queries[0], *fx.flat, exec).share();
 
   gate.set_value();
   held.get();
   interactive.get();
+  ExpectAnswerBitIdentical(fx.serial[0], submitted.get(), "interactive");
   for (auto& f : batch) f.get();
   ASSERT_EQ(order.size(), 5u);
   EXPECT_EQ(order.front(), 100) << "interactive must run first";
+  for (size_t k = 1; k < order.size(); ++k) {
+    EXPECT_GE(order[k], 0)
+        << "a batch task ran before the interactive Submit";
+  }
 }
 
 void ExpectApproxBitIdentical(const runtime::ApproxAnswer& expected,
@@ -482,7 +481,7 @@ TEST(QueryScheduler, ApproximateInvalidFractionPoisonsOnlyItsFuture) {
   }
   // The scheduler stays serviceable after the rejections.
   ExpectAnswerBitIdentical(
-      fx.serial[1], scheduler.Submit(fx.queries[1], *fx.sharded).get(),
+      fx.serial[1], scheduler.Submit(fx.queries[1], *fx.resident).get(),
       "after-bad-fraction");
 }
 
@@ -542,7 +541,7 @@ TEST(QueryScheduler, ConcurrentApproximateBitIdenticalToSerial) {
           opts.num_threads = 1 + static_cast<int>(i % 3);
           futures[t].push_back(scheduler.SubmitApproximate(
               fx.queries[i], src, picker, approx_opts(i), opts));
-          auto exact = scheduler.Submit(fx.queries[i], *fx.sharded, opts);
+          auto exact = scheduler.Submit(fx.queries[i], *fx.resident, opts);
           std::lock_guard<std::mutex> lock(exact_mu);
           exact_siblings.push_back(std::move(exact));
         }
@@ -716,7 +715,7 @@ TEST(DegradedServing, ApproximateModeReweightsReachableSet) {
         opts.policy = policy;
         opts.num_threads = 2;
         runtime::ApproxAnswer ans =
-            scheduler.SubmitDegradable(q, cold, submit, opts).get();
+            scheduler.SubmitDegradable(q, cold, opts, submit).get();
         ExpectAnswerBitIdentical(expected.value, ans.value, "degraded-value");
         ExpectAnswerBitIdentical(expected.error, ans.error_estimate,
                                  "degraded-error");
@@ -745,7 +744,7 @@ TEST(DegradedServing, HealthyDegradableIsExactWithZeroError) {
     runtime::SubmitOptions submit;
     submit.degraded_mode = runtime::DegradedMode::kApproximate;
     runtime::ApproxAnswer ans =
-        scheduler.SubmitDegradable(fx.queries[i], cold, submit).get();
+        scheduler.SubmitDegradable(fx.queries[i], cold, {}, submit).get();
     ExpectAnswerBitIdentical(fx.serial[i], ans.value, "healthy-degradable");
     EXPECT_EQ(ans.partitions_scanned, fx.pt->num_partitions());
     EXPECT_EQ(ans.partitions_total, fx.pt->num_partitions());
