@@ -54,15 +54,14 @@ inline size_t ParseEnvSizeItem(const char* name, const std::string& item,
 /// dimensions. Malformed input (including zero entries and stray commas)
 /// aborts with a clear error instead of silently shrinking the sweep.
 inline std::vector<size_t> EnvSizeList(const char* name,
-                                       std::vector<size_t> fallback,
-                                       size_t min_value = 1) {
+                                       std::vector<size_t> fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   std::vector<size_t> out;
   std::string item;
   for (const char* p = v;; ++p) {
     if (*p == ',' || *p == '\0') {
-      out.push_back(ParseEnvSizeItem(name, item, min_value));
+      out.push_back(ParseEnvSizeItem(name, item, /*min_value=*/1));
       item.clear();
       if (*p == '\0') break;
     } else {
@@ -270,12 +269,6 @@ inline uint64_t BenchFaultSeed() {
 /// comma-separated total attempts per load step; 1 = retries off).
 inline std::vector<size_t> BenchRetryAttempts() {
   return EnvSizeList("PS3_RETRY", {1, 3});
-}
-
-/// Hedge delays in milliseconds swept by the fault-tolerance bench
-/// (PS3_HEDGE_MS, comma-separated; 0 = hedging off).
-inline std::vector<size_t> BenchHedgeDelaysMs() {
-  return EnvSizeList("PS3_HEDGE_MS", {0, 2}, /*min_value=*/0);
 }
 
 /// Default bench scale: 100k rows over 400 partitions (the paper's 1000

@@ -32,9 +32,8 @@
 // exact scans while the store's seeded FaultInjector throws transient
 // errors and latency spikes: PS3_FAULT_RATE sweeps the injected rate
 // (0 = fault-free baseline), PS3_FAULT_SEED pins the fault sequence,
-// PS3_RETRY sweeps total load attempts (1 = retries off), PS3_HEDGE_MS
-// sweeps the hedged-read delay (0 = hedging off); it reports success
-// rate, cold p50/p99 latency, rows/sec, and the store's retry / hedge
+// PS3_RETRY sweeps total load attempts (1 = retries off); it reports
+// success rate, cold p50/p99 latency, rows/sec, and the store's retry
 // counters, with every successful answer gated bit-identical to the
 // resident scan.
 #include <algorithm>
@@ -1051,9 +1050,9 @@ int main() {
   // Fault tolerance (PS3_IO=0 skips): exact cold scans through the
   // scheduler while the store's FaultInjector throws seeded transient
   // errors and latency spikes, swept over fault rate (PS3_FAULT_RATE,
-  // 0 = the fault-free baseline), retry attempts (PS3_RETRY, 1 = retries
-  // off), and hedge delay (PS3_HEDGE_MS, 0 = hedging off), all under
-  // PS3_FAULT_SEED so two runs see the identical failure sequence.
+  // 0 = the fault-free baseline) and retry attempts (PS3_RETRY, 1 =
+  // retries off), both under PS3_FAULT_SEED so two runs see the
+  // identical failure sequence.
   // Successful answers are gated bit-identical to the resident scan —
   // faults may cost retries, latency, and failed queries, never bits.
   std::printf("  \"fault_results\": [\n");
@@ -1065,7 +1064,6 @@ int main() {
     const std::vector<double> fault_rates = bench::BenchFaultRates();
     const uint64_t fault_seed = bench::BenchFaultSeed();
     const std::vector<size_t> retry_attempts = bench::BenchRetryAttempts();
-    const std::vector<size_t> hedge_delays_ms = bench::BenchHedgeDelaysMs();
     constexpr int kFaultReps = 3;
 
     const std::vector<query::Query> ft_queries(
@@ -1109,14 +1107,11 @@ int main() {
     struct FaultCfg {
       double rate;
       size_t attempts;
-      size_t hedge_ms;
     };
     std::vector<FaultCfg> cfgs;
     for (double rate : fault_rates) {
       for (size_t attempts : retry_attempts) {
-        for (size_t hedge_ms : hedge_delays_ms) {
-          cfgs.push_back({rate, attempts, hedge_ms});
-        }
+        cfgs.push_back({rate, attempts});
       }
     }
     for (size_t ci = 0; ci < cfgs.size(); ++ci) {
@@ -1128,14 +1123,10 @@ int main() {
         plan.seed = fault_seed;
         plan.transient_rate = cfg.rate;
         plan.latency_rate = cfg.rate;
-        // Spikes must dwarf the base RTT, or a hedged duplicate read has
-        // nothing to win against.
         plan.latency_spike_us = std::max<size_t>(2000, ft_delay_us * 4);
         sopts.faults = std::make_shared<io::FaultInjector>(std::move(plan));
       }
       sopts.retry.max_attempts = static_cast<int>(cfg.attempts);
-      sopts.hedge.enabled = cfg.hedge_ms > 0;
-      sopts.hedge.fixed_delay_us = cfg.hedge_ms * 1000;
       auto store_r = io::PartitionStore::Open(dir_tmpl, sopts);
       if (!store_r.ok()) std::abort();
       io::PartitionStore& store = **store_r;
@@ -1176,15 +1167,14 @@ int main() {
           static_cast<double>(rows) * static_cast<double>(successes);
       std::printf(
           "    {\"fault_rate\": %.3f, \"fault_seed\": %llu, "
-          "\"max_attempts\": %zu, \"hedge_ms\": %zu, \"threads\": %zu, "
+          "\"max_attempts\": %zu, \"threads\": %zu, "
           "\"shards\": %zu, \"delay_us\": %zu, \"queries\": %zu, "
           "\"successes\": %zu, \"success_rate\": %.3f, "
           "\"cold_p50_ms\": %.2f, \"cold_p99_ms\": %.2f, "
           "\"rows_per_sec\": %.3e, \"retries\": %llu, "
-          "\"transient_errors\": %llu, \"load_errors\": %llu, "
-          "\"hedged_loads\": %llu, \"hedge_wins\": %llu}%s\n",
+          "\"transient_errors\": %llu, \"load_errors\": %llu}%s\n",
           cfg.rate, static_cast<unsigned long long>(fault_seed), cfg.attempts,
-          cfg.hedge_ms, wide, ft_shards, ft_delay_us, attempts_total,
+          wide, ft_shards, ft_delay_us, attempts_total,
           successes,
           attempts_total > 0
               ? static_cast<double>(successes) /
@@ -1195,8 +1185,6 @@ int main() {
           static_cast<unsigned long long>(st.retries),
           static_cast<unsigned long long>(st.transient_errors),
           static_cast<unsigned long long>(st.load_errors),
-          static_cast<unsigned long long>(st.hedged_loads),
-          static_cast<unsigned long long>(st.hedge_wins),
           ci + 1 < cfgs.size() ? "," : "");
     }
   }

@@ -52,10 +52,6 @@ struct RetryPolicy {
   /// once exceeded the last error surfaces. 0 = unlimited (the query's
   /// own deadline still bounds everything via the CancelToken).
   size_t retry_time_budget_us = 500000;
-  /// Budget of *extra* encoded bytes retries may re-read per load step
-  /// (attempt 1 is free; each retry charges the pass's encoded size).
-  /// 0 = unlimited.
-  size_t retry_byte_budget = 0;
 };
 
 /// Deterministic backoff for retry number `retry` (1 = first re-attempt):

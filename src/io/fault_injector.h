@@ -116,7 +116,7 @@ struct FaultDecision {
 };
 
 /// Thread-safe decision oracle over a FaultPlan. One injector instance
-/// is shared by every load path of a store (demand, prefetch, hedge), so
+/// is shared by every load path of a store (demand and prefetch), so
 /// the attempt counters see every physical read in program order per
 /// coordinate — concurrent coordinates are independent.
 class FaultInjector {

@@ -6,8 +6,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <future>
-#include <thread>
 
 #include "common/hash.h"
 #include "common/serialize.h"
@@ -43,29 +41,6 @@ Status EnsureDir(const std::string& dir) {
 bool IsAbort(const Status& s) {
   return s.code() == StatusCode::kCancelled ||
          s.code() == StatusCode::kDeadlineExceeded;
-}
-
-/// Sliced sleep polling *two* nullable tokens: the query's own cancel
-/// and the hedge racer's local stop. Either firing aborts the sleep with
-/// its Status.
-Status SleepWithTokens(size_t us, const CancelToken* cancel,
-                       const CancelToken* hedge_stop) {
-  constexpr size_t kSliceUs = 200;
-  size_t remaining = us;
-  for (;;) {
-    if (cancel != nullptr) {
-      Status live = cancel->Check();
-      if (!live.ok()) return live;
-    }
-    if (hedge_stop != nullptr) {
-      Status live = hedge_stop->Check();
-      if (!live.ok()) return live;
-    }
-    if (remaining == 0) return Status::OK();
-    const size_t step = std::min(remaining, kSliceUs);
-    std::this_thread::sleep_for(std::chrono::microseconds(step));
-    remaining -= step;
-  }
 }
 
 }  // namespace
@@ -282,11 +257,7 @@ std::vector<FaultDecision> PartitionStore::DrawFaults(
 
 Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumnsOnce(
     size_t i, const std::vector<size_t>& cols,
-    const std::vector<FaultDecision>& decisions, const CancelToken* cancel,
-    const CancelToken* hedge_stop) {
-  const auto start = std::chrono::steady_clock::now();
-  PS3_RETURN_IF_ERROR(SleepWithTokens(0, cancel, hedge_stop));
-
+    const std::vector<FaultDecision>& decisions, const CancelToken* cancel) {
   // Pass-level effect of the drawn faults: a transient draw on *any*
   // column fails the whole pass (it is one physical read); corrupt draws
   // flip a bit in exactly their column's encoded segment; spike
@@ -313,18 +284,18 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumnsOnce(
   // pass will actually move — compressed segments cross the simulated
   // link at their on-disk size, so narrower *and denser* reads finish
   // sooner. Injected spikes are additive: a slow replica is slow before
-  // it answers (or fails). The sleep is sliced and polls both tokens so
-  // neither an expired query nor a beaten hedge racer rides out the RTT.
+  // it answers (or fails). The sleep is sliced and polls the token so an
+  // expired query never rides out the RTT.
   size_t delay_us = options_.simulated_load_delay_us + spike_us;
   if (options_.simulated_load_bandwidth_mbps > 0) {
     delay_us += encoded_columns_bytes(i, cols) * 8 /
                 options_.simulated_load_bandwidth_mbps;
   }
-  PS3_RETURN_IF_ERROR(SleepWithTokens(delay_us, cancel, hedge_stop));
+  PS3_RETURN_IF_ERROR(SleepWithCancel(delay_us, cancel));
 
   // A transient fault fails *after* the latency is paid — the bytes
   // moved and were dropped, which is why transient retries cost real
-  // time and why the retry byte budget charges them.
+  // time.
   if (transient) {
     return Status::Unavailable(
         "injected transient read error (partition " + std::to_string(i) +
@@ -372,120 +343,7 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumnsOnce(
     store_stats_.segments_loaded += cols.size();
     store_stats_.bytes_loaded += bytes_read;
   }
-  RecordLoadLatency(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count()));
   return out;
-}
-
-void PartitionStore::RecordLoadLatency(uint64_t us) {
-  if (us == 0) us = 1;  // 0 is the "no sample" sentinel
-  // Same alpha-1/4, underflow-safe EWMA form the prefetch pipeline
-  // paces with (`prev - prev/4 + sample/4` stays in range however the
-  // sample compares to the mean — the naive `prev + (sample - prev)/4`
-  // wraps unsigned whenever a sample undershoots); the second cell
-  // tracks mean absolute deviation, so mean + 3*dev approximates a p99
-  // without keeping a histogram.
-  const uint64_t prev = load_lat_ewma_us_.load(std::memory_order_relaxed);
-  const uint64_t mean =
-      prev == 0 ? us : prev - prev / 4 + std::max<uint64_t>(us / 4, 1);
-  load_lat_ewma_us_.store(mean, std::memory_order_relaxed);
-  const uint64_t dev_sample = us > mean ? us - mean : mean - us;
-  const uint64_t prev_dev = load_dev_ewma_us_.load(std::memory_order_relaxed);
-  // No 1us floor on the dev cell: 0 is a legitimate steady-state ("no
-  // spread"), and the first sample may seed it with 0 — fine, because
-  // unlike the mean it is never used as a "seeded yet" sentinel.
-  const uint64_t dev = prev_dev == 0
-                           ? dev_sample
-                           : prev_dev - prev_dev / 4 + dev_sample / 4;
-  load_dev_ewma_us_.store(dev, std::memory_order_relaxed);
-}
-
-size_t PartitionStore::HedgeDelayUs() const {
-  if (options_.hedge.fixed_delay_us != 0) return options_.hedge.fixed_delay_us;
-  const uint64_t mean = load_lat_ewma_us_.load(std::memory_order_relaxed);
-  if (mean == 0) return 0;  // no sample yet: don't hedge blind
-  const uint64_t dev = load_dev_ewma_us_.load(std::memory_order_relaxed);
-  const uint64_t p99 = mean + 3 * dev;
-  return std::clamp(static_cast<size_t>(p99), options_.hedge.min_delay_us,
-                    options_.hedge.max_delay_us);
-}
-
-Result<PartitionStore::LoadedColumns> PartitionStore::LoadPass(
-    size_t i, const std::vector<size_t>& cols, const CancelToken* cancel) {
-  // Last poll before the expensive part: a query cancelled (or expired)
-  // by now skips the fault draw, the simulated RTT and the read entirely.
-  PS3_RETURN_IF_ERROR(SleepWithTokens(0, cancel, nullptr));
-  // Every racer's faults are drawn here, on the calling thread, before
-  // the racer starts: the attempt each read consumes then follows
-  // program order, never the order in which racer threads get scheduled.
-  const std::vector<FaultDecision> primary_faults = DrawFaults(i, cols);
-  const size_t hedge_delay_us =
-      options_.hedge.enabled ? HedgeDelayUs() : size_t{0};
-  if (hedge_delay_us == 0) {
-    // Hedging off, or no latency estimate yet (and no fixed delay): load
-    // plain and let the sample prime the EWMA.
-    return LoadColumnsOnce(i, cols, primary_faults, cancel, nullptr);
-  }
-
-  // Hedged race: primary fires immediately; if it hasn't landed within
-  // the hedge delay (~p99 of recent passes), a duplicate read fires and
-  // the first success cancels the other through its racer-local token.
-  // Both futures are joined on every path — the loser aborts within one
-  // sleep slice of its token firing, so the join is short.
-  CancelToken primary_stop;
-  CancelToken secondary_stop;
-  auto primary = std::async(std::launch::async, [&] {
-    return LoadColumnsOnce(i, cols, primary_faults, cancel, &primary_stop);
-  });
-  if (primary.wait_for(std::chrono::microseconds(hedge_delay_us)) ==
-      std::future_status::ready) {
-    return primary.get();
-  }
-  {
-    std::lock_guard<std::mutex> lock(load_mu_);
-    ++store_stats_.hedged_loads;
-  }
-  const std::vector<FaultDecision> secondary_faults = DrawFaults(i, cols);
-  auto secondary = std::async(std::launch::async, [&] {
-    return LoadColumnsOnce(i, cols, secondary_faults, cancel,
-                           &secondary_stop);
-  });
-  for (;;) {
-    if (primary.wait_for(std::chrono::microseconds(200)) ==
-        std::future_status::ready) {
-      auto r = primary.get();
-      if (r.ok()) {
-        secondary_stop.Cancel();
-        secondary.wait();
-        return r;
-      }
-      // Primary failed: the hedge is now the only hope — wait it out.
-      auto r2 = secondary.get();
-      if (r2.ok()) {
-        std::lock_guard<std::mutex> lock(load_mu_);
-        ++store_stats_.hedge_wins;
-        return r2;
-      }
-      // Both failed: surface the primary's error (the hedge's is the
-      // same fault class one attempt later).
-      return r;
-    }
-    if (secondary.wait_for(std::chrono::seconds(0)) ==
-        std::future_status::ready) {
-      auto r2 = secondary.get();
-      if (r2.ok()) {
-        primary_stop.Cancel();
-        primary.wait();
-        std::lock_guard<std::mutex> lock(load_mu_);
-        ++store_stats_.hedge_wins;
-        return r2;
-      }
-      // Hedge failed first; keep waiting on the primary.
-      return primary.get();
-    }
-  }
 }
 
 Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumns(
@@ -526,13 +384,15 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumns(
 
   const RetryPolicy& retry = options_.retry;
   const auto start = std::chrono::steady_clock::now();
-  const size_t pass_bytes = encoded_columns_bytes(i, cols);
   const int max_attempts = std::max(1, retry.max_attempts);
   bool corrupt_refetched = false;
-  size_t retry_bytes = 0;
   Status last;
   for (int attempt = 1;;) {
-    auto loaded = LoadPass(i, cols, cancel);
+    // Last poll before the expensive part: a query cancelled (or expired)
+    // by now skips the fault draw, the simulated RTT and the read entirely,
+    // so an aborted pass consumes no fault attempt.
+    PS3_RETURN_IF_ERROR(SleepWithCancel(0, cancel));
+    auto loaded = LoadColumnsOnce(i, cols, DrawFaults(i, cols), cancel);
     if (loaded.ok()) {
       breaker_guard.resolved = true;
       breaker_.RecordSuccess();
@@ -562,8 +422,7 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumns(
         ++store_stats_.transient_errors;
       }
       if (attempt >= max_attempts) break;
-      // Retry budgets: wall-clock including backoffs, and extra encoded
-      // bytes re-read (the first attempt is free).
+      // Retry budget: wall-clock including backoffs.
       if (retry.retry_time_budget_us > 0 &&
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - start)
@@ -571,11 +430,6 @@ Result<PartitionStore::LoadedColumns> PartitionStore::LoadColumns(
               static_cast<int64_t>(retry.retry_time_budget_us)) {
         break;
       }
-      if (retry.retry_byte_budget > 0 &&
-          retry_bytes + pass_bytes > retry.retry_byte_budget) {
-        break;
-      }
-      retry_bytes += pass_bytes;
       const size_t backoff_us = BackoffUs(
           retry, attempt, HashCombine(static_cast<uint64_t>(i),
                                       cols.empty() ? 0 : cols.front()));

@@ -36,14 +36,12 @@
 // RetryPolicy::max_attempts passes with deterministic exponential
 // backoff (sleeps poll the query's CancelToken, so retries never outlive
 // the SLO), one evict-and-refetch on checksum corruption, fail-fast on
-// lost partitions, and an optional hedged second read after an
-// EWMA-p99-derived delay where the first success cancels the loser.
-// Zero-fault configs take none of these paths and stay bit-identical to
-// the pre-fault-tolerance store.
+// lost partitions. Each attempt is one read on the calling thread;
+// latency spikes are absorbed, not raced. Zero-fault configs take none
+// of these paths and stay bit-identical to the pre-fault-tolerance store.
 #ifndef PS3_IO_PARTITION_STORE_H_
 #define PS3_IO_PARTITION_STORE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -92,9 +90,6 @@ struct StoreStats {
   /// Extra physical read attempts (transient backoff retries plus the
   /// one corrupt evict-and-refetch).
   uint64_t retries = 0;
-  /// Hedged second reads fired / hedges that finished first.
-  uint64_t hedged_loads = 0;
-  uint64_t hedge_wins = 0;
   /// Circuit-breaker transitions to open (including half-open -> open
   /// re-opens after a failed probe, so one outage can count several) /
   /// loads rejected while open.
@@ -134,20 +129,6 @@ class PartitionStore {
     /// partitions are excluded from its accounting so a degraded table
     /// can't wedge reachable partitions shut.
     CircuitBreakerPolicy breaker;
-    /// Hedged (duplicate) cold reads for latency-spike tolerance.
-    struct HedgeOptions {
-      /// Off by default: hedging spawns a second read thread per slow
-      /// pass, and zero-fault configs must stay bit-identical (and
-      /// thread-identical) to the pre-fault-tolerance store.
-      bool enabled = false;
-      /// Fixed hedge delay; 0 derives the delay from the store's load
-      /// latency EWMA (~p99: mean + 3 * mean absolute deviation).
-      size_t fixed_delay_us = 0;
-      /// Clamp for the adaptive delay.
-      size_t min_delay_us = 500;
-      size_t max_delay_us = 100000;
-    };
-    HedgeOptions hedge;
     /// Upper bound on a single-flight wait for another fetcher's
     /// in-flight load of the same segments. On timeout the waiter counts
     /// it, breaks the stale claim, and re-claims the load itself — so a
@@ -251,11 +232,6 @@ class PartitionStore {
   }
   /// Circuit-breaker state, for tests and ops introspection.
   CircuitBreaker::State breaker_state() const { return breaker_.state(); }
-  /// Current hedge delay in microseconds: the configured fixed delay if
-  /// one is set, else mean + 3*dev of the load-latency EWMAs clamped to
-  /// the hedge bounds (0 until the first successful pass). For tests
-  /// and ops introspection.
-  size_t hedge_delay_us() const { return HedgeDelayUs(); }
 
  private:
   PartitionStore(std::string dir, Options options, storage::Schema schema,
@@ -292,11 +268,12 @@ class PartitionStore {
   using LoadedColumns = std::vector<std::shared_ptr<const CachedColumn>>;
 
   /// The resilient load for one claimed segment batch: circuit-breaker
-  /// admission, then up to retry.max_attempts physical passes (hedged
-  /// when enabled) with deterministic backoff between transient
-  /// failures, one evict-and-refetch on corruption, and fail-fast on
-  /// lost partitions. Backoff sleeps poll `cancel`; aborts surface
-  /// uncounted. This is what Fetch and Preload call.
+  /// admission, then up to retry.max_attempts physical passes — each a
+  /// cancel poll, a fault draw and one LoadColumnsOnce on the calling
+  /// thread — with deterministic backoff between transient failures, one
+  /// evict-and-refetch on corruption, and fail-fast on lost partitions.
+  /// Backoff sleeps poll `cancel`; aborts surface uncounted. This is
+  /// what Fetch and Preload call.
   Result<LoadedColumns> LoadColumns(size_t i, const std::vector<size_t>& cols,
                                     const CancelToken* cancel = nullptr);
   /// Draws one physical pass's injected faults: one attempt per column
@@ -304,24 +281,11 @@ class PartitionStore {
   std::vector<FaultDecision> DrawFaults(size_t i,
                                         const std::vector<size_t>& cols);
   /// One physical read pass: simulated latency/bandwidth sleep (sliced,
-  /// polling both tokens), the pass's drawn `decisions` applied, then
-  /// the seek-read-verify-decode of io/partition_file. `hedge_stop`
-  /// (nullable) is the racer-local token a winning hedge uses to abort
-  /// the loser.
+  /// polling `cancel`), the pass's drawn `decisions` applied, then the
+  /// seek-read-verify-decode of io/partition_file.
   Result<LoadedColumns> LoadColumnsOnce(
       size_t i, const std::vector<size_t>& cols,
-      const std::vector<FaultDecision>& decisions, const CancelToken* cancel,
-      const CancelToken* hedge_stop);
-  /// One *attempt* of the resilient loop: plain pass, or a hedged race
-  /// (second read fired after HedgeDelayUs; first success cancels the
-  /// loser) when hedging is on and a latency estimate exists.
-  Result<LoadedColumns> LoadPass(size_t i, const std::vector<size_t>& cols,
-                                 const CancelToken* cancel);
-  /// Folds a successful pass latency into the EWMA cells.
-  void RecordLoadLatency(uint64_t us);
-  /// Current hedge trigger delay (~p99 of successful pass latency), or
-  /// 0 for "don't hedge yet" (no samples and no fixed delay).
-  size_t HedgeDelayUs() const;
+      const std::vector<FaultDecision>& decisions, const CancelToken* cancel);
   /// Builds the scan view for partition `i` from the pinned segment data
   /// (indexed by column; null = pruned) plus the pin tokens that keep
   /// them alive and release them when the view is dropped.
@@ -352,11 +316,6 @@ class PartitionStore {
   StoreStats store_stats_;    ///< guarded by load_mu_
 
   CircuitBreaker breaker_;
-  /// EWMA of successful pass latency and of its absolute deviation
-  /// (microseconds; 0 = no sample yet, samples clamp to >= 1). Relaxed
-  /// atomics — the hedge delay is advisory timing, never answers.
-  std::atomic<uint64_t> load_lat_ewma_us_{0};
-  std::atomic<uint64_t> load_dev_ewma_us_{0};
 };
 
 }  // namespace ps3::io

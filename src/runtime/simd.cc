@@ -64,16 +64,29 @@ __attribute__((target("avx2"))) void DenseGroupIdsAvx2(
   }
 }
 
+namespace {
+
+/// Four doubles at values[rows[0..3]]. Spelled as the masked gather over
+/// a zeroed source: GCC 12's unmasked _mm256_i32gather_pd seeds its
+/// source with _mm256_undefined_pd, which trips -Wmaybe-uninitialized
+/// once inlined at -O2 and above. Same instruction, every lane loaded.
+__attribute__((target("avx2"))) __m256d Gather4Pd(const double* values,
+                                                  const uint32_t* rows) {
+  const __m128i ridx =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows));
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), values, ridx, all, 8);
+}
+
+}  // namespace
+
 __attribute__((target("avx2"))) void GatherDoublesAvx2(const double* values,
                                                        const uint32_t* rows,
                                                        size_t n,
                                                        double* out) {
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
-    const __m128i ridx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(rows + k));
-    const __m256d v = _mm256_i32gather_pd(values, ridx, 8);
-    _mm256_storeu_pd(out + k, v);
+    _mm256_storeu_pd(out + k, Gather4Pd(values, rows + k));
   }
   for (; k < n; ++k) out[k] = values[rows[k]];
 }
@@ -86,9 +99,7 @@ __attribute__((target("avx2"))) double MinGatherAvx2(const double* values,
   if (n >= 4) {
     __m256d acc = _mm256_set1_pd(m);
     for (; k + 4 <= n; k += 4) {
-      const __m128i ridx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(rows + k));
-      acc = _mm256_min_pd(acc, _mm256_i32gather_pd(values, ridx, 8));
+      acc = _mm256_min_pd(acc, Gather4Pd(values, rows + k));
     }
     const __m128d lo = _mm256_castpd256_pd128(acc);
     const __m128d hi = _mm256_extractf128_pd(acc, 1);
@@ -111,9 +122,7 @@ __attribute__((target("avx2"))) double MaxGatherAvx2(const double* values,
   if (n >= 4) {
     __m256d acc = _mm256_set1_pd(m);
     for (; k + 4 <= n; k += 4) {
-      const __m128i ridx = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(rows + k));
-      acc = _mm256_max_pd(acc, _mm256_i32gather_pd(values, ridx, 8));
+      acc = _mm256_max_pd(acc, Gather4Pd(values, rows + k));
     }
     const __m128d lo = _mm256_castpd256_pd128(acc);
     const __m128d hi = _mm256_extractf128_pd(acc, 1);
