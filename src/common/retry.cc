@@ -28,16 +28,19 @@ Status SleepWithCancel(size_t us, const CancelToken* cancel) {
   // Same 200us slice the store's single-flight wait uses: fine enough
   // that a fired deadline stops a backoff almost immediately, coarse
   // enough to stay off the scheduler's back.
-  constexpr size_t kSliceUs = 200;
-  size_t remaining = us;
-  while (remaining > 0) {
+  // Slices aim at an absolute deadline: counting down the *requested*
+  // slice lengths would add every slice's wake-up delay to the total.
+  constexpr std::chrono::microseconds kSlice(200);
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::microseconds(us);
+  for (Clock::time_point now = Clock::now(); now < deadline;
+       now = Clock::now()) {
     if (cancel != nullptr) {
       Status aborted = cancel->Check();
       if (!aborted.ok()) return aborted;
     }
-    size_t step = std::min(remaining, kSliceUs);
-    std::this_thread::sleep_for(std::chrono::microseconds(step));
-    remaining -= step;
+    std::this_thread::sleep_until(std::min(deadline, now + kSlice));
   }
   if (cancel != nullptr) return cancel->Check();
   return Status::OK();

@@ -60,10 +60,12 @@ struct RetryPolicy {
 /// jitters decorrelate without sharing any RNG state.
 size_t BackoffUs(const RetryPolicy& policy, int retry, uint64_t salt);
 
-/// Sleeps `us` microseconds in short slices, polling `cancel` (nullable)
-/// between slices. Returns OK after a full sleep, or the token's Status
+/// Sleeps until `us` microseconds after the call, in short slices toward
+/// that absolute deadline, polling `cancel` (nullable) between slices.
+/// Returns OK no earlier than `us` after the call, or the token's Status
 /// as soon as it fires — a backoff can overshoot a deadline by at most
-/// one slice.
+/// one slice. Per-slice wake-up delays do not add up: the total
+/// oversleeps by one wake-up at most.
 Status SleepWithCancel(size_t us, const CancelToken* cancel);
 
 /// Circuit-breaker policy for one store. The breaker sits *above* the

@@ -11,9 +11,9 @@
 // The scan's ColumnSet hint flows straight through: Acquire fetches only
 // the referenced column segments (partial residency upgrades fetch just
 // the missing ones), and when a PrefetchPipeline is attached,
-// WillScanShard(s, cols) stages upcoming shards' hinted segments
-// asynchronously at the pipeline's adaptive stage-ahead distance; with
-// several queries in flight the pipeline's shared read-ahead budget
+// WillScanShard(s, cols) stages the hinted segments of shard s and the
+// shards after it asynchronously, up to the pipeline's max_ahead_shards;
+// with several queries in flight the pipeline's shared read-ahead budget
 // arbitrates between them.
 #ifndef PS3_IO_COLD_SOURCE_H_
 #define PS3_IO_COLD_SOURCE_H_

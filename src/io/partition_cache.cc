@@ -27,7 +27,28 @@ void PartitionCache::PinLocked(Entry* e) {
     lru_.erase(e->lru_it);  // pinned entries are invisible to eviction
     stats_.bytes_pinned += e->bytes;  // counted once, not per pin
   }
+  if (e->staged) {  // a scan reached it: the read-ahead is consumed
+    e->staged = false;
+    stats_.bytes_staged -= e->bytes;
+  }
   ++e->pins;
+}
+
+void PartitionCache::RestageLocked(const ColumnKey& key, Entry* e) {
+  lru_.erase(e->lru_it);
+  lru_.push_back(key);
+  e->lru_it = std::prev(lru_.end());
+  if (!e->staged) {
+    e->staged = true;
+    stats_.bytes_staged += e->bytes;
+  }
+}
+
+void PartitionCache::EraseLocked(EntryMap::iterator it) {
+  stats_.bytes_cached -= it->second.bytes;
+  if (it->second.staged) stats_.bytes_staged -= it->second.bytes;
+  ++stats_.evictions;
+  entries_.erase(it);
 }
 
 PartitionCache::Entry& PartitionCache::InsertEntryLocked(
@@ -103,17 +124,29 @@ void PartitionCache::Insert(const ColumnKey& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    // Already resident (e.g. a prefetch raced a demand load): refresh
-    // recency if unpinned, keep the existing bytes accounting.
-    if (it->second.pins == 0) {
-      lru_.erase(it->second.lru_it);
-      lru_.push_back(key);
-      it->second.lru_it = std::prev(lru_.end());
-    }
+    // Already resident (e.g. a prefetch raced a demand load): restage it
+    // if unpinned, keep the existing bytes accounting.
+    if (it->second.pins == 0) RestageLocked(key, &it->second);
     return;
   }
-  InsertEntryLocked(key, std::move(data));
+  Entry& e = InsertEntryLocked(key, std::move(data));
+  e.staged = true;
+  stats_.bytes_staged += e.bytes;
   EvictToBudgetLocked();
+}
+
+void PartitionCache::Restage(const std::vector<size_t>& parts,
+                             const std::vector<size_t>& cols) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t p : parts) {
+    for (size_t c : cols) {
+      const ColumnKey key{p, c};
+      auto it = entries_.find(key);
+      if (it != entries_.end() && it->second.pins == 0) {
+        RestageLocked(key, &it->second);
+      }
+    }
+  }
 }
 
 ColumnPin PartitionCache::InsertPinned(
@@ -169,9 +202,7 @@ void PartitionCache::EvictToBudgetLocked() {
     lru_.pop_front();
     auto it = entries_.find(victim);
     assert(it != entries_.end() && it->second.pins == 0);
-    stats_.bytes_cached -= it->second.bytes;
-    ++stats_.evictions;
-    entries_.erase(it);
+    EraseLocked(it);
   }
 }
 
@@ -191,12 +222,7 @@ bool PartitionCache::ContainsAll(size_t part,
 
 void PartitionCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const ColumnKey& key : lru_) {
-    auto it = entries_.find(key);
-    stats_.bytes_cached -= it->second.bytes;
-    ++stats_.evictions;
-    entries_.erase(it);
-  }
+  for (const ColumnKey& key : lru_) EraseLocked(entries_.find(key));
   lru_.clear();
 }
 

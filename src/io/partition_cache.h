@@ -20,6 +20,13 @@
 // released segment was just scanned, so it must not outrank staged-but-
 // unscanned read-ahead in eviction order.
 //
+// Read-ahead is tracked separately: a segment inserted by the prefetch
+// path (Insert) or re-staged for an upcoming scan (Restage) counts in
+// bytes_staged until a scan pins it or it is evicted. Staged segments sit
+// at the MRU end and released ones at the cold end, so a prefetcher that
+// stages at most budget - pinned - staged more bytes evicts only segments
+// that are already scanned, never read-ahead still waiting for its scan.
+//
 // Thread-safe: concurrent queries acquire, insert, and release pins from
 // pool lanes and prefetch drivers at once. The cache must outlive every
 // pin token it hands out.
@@ -84,7 +91,7 @@ using ColumnPin = std::shared_ptr<const CachedColumn>;
 
 /// Point-in-time counters. hits/misses are AcquirePinned outcomes and
 /// inserts/evictions entry movements — all at column-segment granularity;
-/// bytes_pinned is included in bytes_cached.
+/// bytes_pinned and bytes_staged are disjoint parts of bytes_cached.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -92,6 +99,8 @@ struct CacheStats {
   uint64_t evictions = 0;
   size_t bytes_cached = 0;
   size_t bytes_pinned = 0;
+  /// Staged (Insert/Restage) segments that no scan has pinned since.
+  size_t bytes_staged = 0;
   size_t peak_bytes = 0;
 };
 
@@ -120,10 +129,17 @@ class PartitionCache {
       const std::vector<ColumnKey>& keys,
       std::vector<std::shared_ptr<const CachedColumn>>* data);
 
-  /// Inserts `data` unpinned at MRU (the prefetch path), then evicts LRU
-  /// unpinned entries while over budget. Re-inserting a present segment
-  /// just refreshes its recency.
+  /// Inserts `data` unpinned and staged at MRU (the prefetch path), then
+  /// evicts LRU unpinned entries while over budget. Re-inserting a
+  /// present segment just restages it (see Restage).
   void Insert(const ColumnKey& key, std::shared_ptr<const CachedColumn> data);
+
+  /// Marks the resident, unpinned segments among `cols` (concrete
+  /// indices) of each partition in `parts` as staged and moves them to
+  /// the MRU end: an upcoming scan will read them, so read-ahead for the
+  /// rest of its plan must not evict them.
+  void Restage(const std::vector<size_t>& parts,
+               const std::vector<size_t>& cols);
 
   /// Insert + pin in one step (the demand-load path): the entry cannot be
   /// evicted between insertion and the scan that needed it.
@@ -145,11 +161,14 @@ class PartitionCache {
     std::shared_ptr<const CachedColumn> data;
     size_t bytes = 0;
     size_t pins = 0;
+    /// Counted in bytes_staged: staged and not pinned since.
+    bool staged = false;
     /// Valid iff pins == 0: position in lru_ (front = coldest). Pinned
     /// entries leave the LRU list entirely and re-enter at the *cold end*
     /// on release (scan-resistance — see Release()).
     std::list<ColumnKey>::iterator lru_it;
   };
+  using EntryMap = std::unordered_map<ColumnKey, Entry, ColumnKeyHash>;
 
   /// Builds the pin token for an already-pinned entry. Must be called
   /// with mu_ *released*: the token's deleter (and the deleter run on a
@@ -159,6 +178,11 @@ class PartitionCache {
   void Release(const ColumnKey& key);
   void ReleaseMany(const std::vector<ColumnKey>& keys);
   void PinLocked(Entry* e);
+  /// Moves an unpinned entry to MRU and marks it staged. Caller holds mu_.
+  void RestageLocked(const ColumnKey& key, Entry* e);
+  /// Removes an unpinned entry from the map and the accounting (not from
+  /// lru_). Caller holds mu_.
+  void EraseLocked(EntryMap::iterator it);
   /// Shared single-entry release logic. Caller holds mu_ and must call
   /// EvictToBudgetLocked afterwards (once per batch).
   void ReleaseLocked(const ColumnKey& key);
@@ -169,7 +193,7 @@ class PartitionCache {
 
   const size_t budget_;
   mutable std::mutex mu_;
-  std::unordered_map<ColumnKey, Entry, ColumnKeyHash> entries_;
+  EntryMap entries_;
   std::list<ColumnKey> lru_;  ///< unpinned entries only; front = coldest
   CacheStats stats_;
 };

@@ -608,44 +608,49 @@ Status PartitionStore::Preload(size_t i, const storage::ColumnSet& columns) {
   if (i >= num_partitions()) {
     return Status::OutOfRange("partition index out of range");
   }
-  const std::vector<size_t> needed = columns.Resolve(schema_.num_columns());
+  const std::vector<size_t> claim =
+      ClaimForPreload(i, columns.Resolve(schema_.num_columns()));
+  if (claim.empty()) return Status::OK();
+  return PreloadClaimed(i, claim);
+}
+
+std::vector<size_t> PartitionStore::ClaimForPreload(
+    size_t i, const std::vector<size_t>& cols) {
   std::vector<size_t> claim;
+  std::lock_guard<std::mutex> lock(load_mu_);
+  for (size_t c : cols) {
+    // Segments cached or mid-load are someone else's work already.
+    if (loading_.count(ColumnKey{i, c}) == 0 &&
+        !cache_.Contains(ColumnKey{i, c})) {
+      claim.push_back(c);
+    }
+  }
+  for (size_t c : claim) loading_.insert(ColumnKey{i, c});
+  return claim;
+}
+
+Status PartitionStore::PreloadClaimed(size_t i,
+                                      const std::vector<size_t>& claimed) {
+  // The guard releases the claims and wakes waiters on every path,
+  // including a throwing load.
+  LoadingGuard guard(this, i, claimed);
   {
     std::lock_guard<std::mutex> lock(load_mu_);
-    for (size_t c : needed) {
-      // Segments cached or mid-load are someone else's work already.
-      if (loading_.count(ColumnKey{i, c}) == 0 &&
-          !cache_.Contains(ColumnKey{i, c})) {
-        claim.push_back(c);
-      }
-    }
-    if (claim.empty()) return Status::OK();
-    for (size_t c : claim) loading_.insert(ColumnKey{i, c});
     ++store_stats_.cold_loads;
   }
-  LoadingGuard guard(this, i, claim);
-  auto loaded = LoadColumns(i, claim);
+  auto loaded = LoadColumns(i, claimed);
   if (!loaded.ok()) {
     guard.set_failed();
     return loaded.status();
   }
-  for (size_t k = 0; k < claim.size(); ++k) {
-    cache_.Insert(ColumnKey{i, claim[k]}, std::move((*loaded)[k]));
+  for (size_t k = 0; k < claimed.size(); ++k) {
+    cache_.Insert(ColumnKey{i, claimed[k]}, std::move((*loaded)[k]));
   }
   return Status::OK();
 }
 
-std::vector<size_t> PartitionStore::UnstagedColumns(
-    size_t i, const std::vector<size_t>& cols) const {
-  std::vector<size_t> out;
-  std::lock_guard<std::mutex> lock(load_mu_);
-  for (size_t c : cols) {
-    if (loading_.count(ColumnKey{i, c}) == 0 &&
-        !cache_.Contains(ColumnKey{i, c})) {
-      out.push_back(c);
-    }
-  }
-  return out;
+void PartitionStore::DropClaims(size_t i, const std::vector<size_t>& claimed) {
+  LoadingGuard guard(this, i, claimed);
 }
 
 StoreStats PartitionStore::store_stats() const {

@@ -26,7 +26,10 @@
 // Options::single_flight_wait_us; a timed-out waiter breaks the stale
 // claim and re-claims the load). Preload() is the prefetch path: same
 // loads, inserted unpinned, never blocking behind an in-flight load of
-// the same segments.
+// the same segments. A prefetcher can also claim segments when it admits
+// them (ClaimForPreload) and load them later (PreloadClaimed): a scan that
+// reaches a claimed segment first waits for that load instead of reading
+// the segment a second time.
 //
 // Fault tolerance: a seeded io::FaultInjector in Options makes the
 // simulated store fail like a real cloud store — transient read errors,
@@ -210,13 +213,21 @@ class PartitionStore {
   Status Preload(size_t i, const storage::ColumnSet& columns);
   Status Preload(size_t i) { return Preload(i, storage::ColumnSet::All()); }
 
-  /// Columns of `cols` (concrete indices) that are neither cached nor
-  /// mid-load — the prefetcher's admission filter, so overlapping
-  /// stage-ahead windows don't re-reserve read-ahead budget for
-  /// segments another pass is already reading. Advisory: a point-in-time
-  /// answer that Preload re-checks under the load lock.
-  std::vector<size_t> UnstagedColumns(size_t i,
-                                      const std::vector<size_t>& cols) const;
+  /// Prefetch admission: claims the segments among `cols` (concrete
+  /// indices) of partition `i` that are neither cached nor mid-load, as
+  /// if their load had started, and returns them. Fetches of a claimed
+  /// segment wait for its load (single flight, bounded by
+  /// single_flight_wait_us), so admitted read-ahead is never read twice.
+  /// Every returned claim must go to exactly one PreloadClaimed or
+  /// DropClaims call.
+  std::vector<size_t> ClaimForPreload(size_t i,
+                                      const std::vector<size_t>& cols);
+  /// Loads claimed segments of partition `i` into the cache unpinned, then
+  /// releases the claims whatever the outcome. Errors are advisory, as in
+  /// Preload.
+  Status PreloadClaimed(size_t i, const std::vector<size_t>& claimed);
+  /// Releases claims without loading (read-ahead that will not run).
+  void DropClaims(size_t i, const std::vector<size_t>& claimed);
 
   PartitionCache& cache() { return cache_; }
   const PartitionCache& cache() const { return cache_; }

@@ -413,15 +413,20 @@ std::vector<PartitionAnswer> EvaluateAllPartitions(
 std::vector<PartitionAnswer> EvaluateAllPartitions(
     const Query& query, const storage::PartitionSource& source,
     const ExecOptions& opts) {
-  const size_t n_shards = source.num_shards();
-  std::vector<PartitionAnswer> out(source.num_partitions());
-  runtime::WorkerPool& pool = PoolOf(opts);
   // Compiled under both policies: the vectorized engine executes it, and
   // either way it yields the scan's referenced-column set — the
   // projection hint out-of-core sources use to read only the segments
   // this query touches. The compiled programs reference exactly the
   // columns the scalar AST walk does, so the hint is safe for kScalar.
-  const CompiledQuery cq = CompileQuery(query);
+  return EvaluateAllPartitions(query, CompileQuery(query), source, opts);
+}
+
+std::vector<PartitionAnswer> EvaluateAllPartitions(
+    const Query& query, const CompiledQuery& cq,
+    const storage::PartitionSource& source, const ExecOptions& opts) {
+  const size_t n_shards = source.num_shards();
+  std::vector<PartitionAnswer> out(source.num_partitions());
+  runtime::WorkerPool& pool = PoolOf(opts);
   const storage::ColumnSet scan_columns = ReferencedColumns(cq);
   // Fan out at partition granularity, flattened across shards, so
   // parallelism scales with total partitions even when shards are fewer

@@ -41,6 +41,8 @@ class PartitionSource;
 
 namespace ps3::query {
 
+struct CompiledQuery;
+
 /// Group-by key: one 64-bit encoding per group column (dictionary code for
 /// categoricals, raw double bits for numerics).
 using GroupKey = std::vector<int64_t>;
@@ -176,6 +178,14 @@ std::vector<PartitionAnswer> EvaluateAllPartitions(
 std::vector<PartitionAnswer> EvaluateAllPartitions(
     const Query& query, const storage::PartitionSource& source,
     const ExecOptions& opts = {});
+
+/// The same scan with the query already compiled: `compiled` must be
+/// CompileQuery(query). For callers that need the compiled form
+/// themselves (the approximate path's bytes accounting), so the query
+/// compiles once per answer.
+std::vector<PartitionAnswer> EvaluateAllPartitions(
+    const Query& query, const CompiledQuery& compiled,
+    const storage::PartitionSource& source, const ExecOptions& opts = {});
 
 /// Number of vectorized-execution scratch blocks constructed so far in
 /// this process. Testing hook: resident-pool scratch reuse means this must

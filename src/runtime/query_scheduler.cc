@@ -56,9 +56,10 @@ ApproxAnswer ScanWeighted(
   picked.reserve(sel.size());
   for (const auto& wp : sel) picked.push_back(wp.partition);
 
+  const query::CompiledQuery compiled = query::CompileQuery(q);
   const storage::PickedSource view(source, picked);
   std::vector<query::PartitionAnswer> partials =
-      query::EvaluateAllPartitions(q, view, exec);
+      query::EvaluateAllPartitions(q, compiled, view, exec);
   query::ApproxCombined combined =
       query::CombineWeightedWithError(q, partials, sel);
 
@@ -67,8 +68,8 @@ ApproxAnswer ScanWeighted(
   out.error_estimate = std::move(combined.error);
   out.partitions_scanned = picked.size();
   out.partitions_total = source.num_partitions();
-  out.bytes_moved = source.ColdScanBytes(
-      picked, query::ReferencedColumns(query::CompileQuery(q)));
+  out.bytes_moved =
+      source.ColdScanBytes(picked, query::ReferencedColumns(compiled));
   return out;
 }
 
@@ -121,8 +122,7 @@ void QueryScheduler::DriverMain() {
       // Drain-on-destruction: exit only once both queues are empty, so
       // every admitted future becomes ready.
       // Interactive first: a latency-class query never waits behind the
-      // batch backlog (or behind staged prefetch tasks, which enqueue as
-      // batch) for a driver.
+      // batch backlog for a driver.
       std::deque<std::function<void()>>& q =
           !queues_[1].empty() ? queues_[1] : queues_[0];
       if (q.empty()) return;

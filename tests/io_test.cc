@@ -985,39 +985,119 @@ TEST(ColdScan, AcquireOverrideIsTheEvaluatorsPath) {
                      query::ExactAnswer(q, full_answers));
 }
 
-TEST(PrefetchPipeline, AdaptiveDistanceWidensWhenLoadsLagScans) {
+TEST(PrefetchPipeline, StagingLandsWhileTheOnlyDriverRunsTheHintingTask) {
+  // The scan that hints a plan runs on a scheduler driver. With one
+  // driver, read-ahead queued behind that driver could only start once
+  // the scan ended; staging must land while the hinting task still runs.
   auto bundle = workload::MakeKdd(1200, /*seed=*/61);
   storage::PartitionedTable pt(bundle.table, 12);
   const std::string dir = MakeSpillDir();
   ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
   io::PartitionStore::Options opts;
-  opts.simulated_load_delay_us = 20000;  // loads far slower than "scans"
+  opts.simulated_load_delay_us = 1000;
   auto store = io::PartitionStore::Open(dir, opts);
   ASSERT_TRUE(store.ok());
+  const std::vector<size_t> all_cols =
+      storage::ColumnSet::All().Resolve((*store)->schema().num_columns());
+
+  runtime::QueryScheduler::Options qopts;
+  qopts.num_drivers = 1;
+  runtime::QueryScheduler scheduler(qopts);
+  io::PrefetchPipeline pipeline(store->get(), &scheduler);
+  const auto plan = storage::AssignShards(pt.num_partitions(), 4,
+                                          storage::ShardAssignment::kRange);
+  std::future<bool> landed = scheduler.Defer([&] {
+    pipeline.StageAhead(plan, 0, storage::ColumnSet::All());
+    // Bounded wait, still holding the only driver: a pipeline that
+    // queues its work behind this task fails here instead of hanging.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (;;) {
+      bool all = true;
+      for (const auto& shard : plan) {
+        for (size_t p : shard) {
+          all = all && (*store)->cache().ContainsAll(p, all_cols);
+        }
+      }
+      if (all) return true;
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_TRUE(landed.get())
+      << "read-ahead must not wait for the driver its scan occupies";
+  pipeline.Drain();
+  EXPECT_EQ(pipeline.stats().staged, pt.num_partitions());
+  EXPECT_EQ(pipeline.stats().load_errors, 0u);
+  EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
+}
+
+TEST(PrefetchPipeline, HeadroomCountsPinnedAndStagedNotReleased) {
+  // A cache full of segments that scans already released still admits
+  // staging (they are what read-ahead may evict), staging keeps the
+  // resident segments of a partially resident partition, and a later
+  // Stage never evicts read-ahead that no scan has reached yet.
+  auto bundle = workload::MakeKdd(1200, /*seed=*/67);
+  storage::PartitionedTable pt(bundle.table, 12);  // 100 rows each
+  const std::string dir = MakeSpillDir();
+  ASSERT_TRUE(io::PartitionStore::Spill(pt, dir).ok());
+  auto probe = io::PartitionStore::Open(dir, {});
+  ASSERT_TRUE(probe.ok());
+  const size_t n_cols = (*probe)->schema().num_columns();
+  const std::vector<size_t> all_cols =
+      storage::ColumnSet::All().Resolve(n_cols);
+  const size_t part_bytes = (*probe)->columns_bytes(0, all_cols);
+  for (size_t p = 1; p < pt.num_partitions(); ++p) {
+    ASSERT_EQ((*probe)->columns_bytes(p, all_cols), part_bytes);
+  }
+  io::PartitionStore::Options opts;
+  opts.cache_budget_bytes = 4 * part_bytes;
+  auto store = io::PartitionStore::Open(dir, opts);
+  ASSERT_TRUE(store.ok());
+  io::PartitionCache& cache = (*store)->cache();
+
+  // Scan partitions 0-3 and partition 4's column 0, then release them
+  // all: the cache is full, nothing is pinned or staged.
+  for (size_t p = 0; p < 4; ++p) ASSERT_TRUE((*store)->Fetch(p).ok());
+  ASSERT_TRUE((*store)->Fetch(4, storage::ColumnSet::Of({0})).ok());
+  ASSERT_GE(cache.bytes_cached(), opts.cache_budget_bytes - part_bytes);
+  ASSERT_TRUE(cache.Contains(io::ColumnKey{4, 0}));
+  EXPECT_EQ(cache.stats().bytes_pinned, 0u);
+  EXPECT_EQ(cache.stats().bytes_staged, 0u);
 
   runtime::QueryScheduler scheduler;
   io::PrefetchPipeline pipeline(store->get(), &scheduler);
-  EXPECT_EQ(pipeline.stats().ahead_shards, 1u);  // no samples yet
+  const io::StoreStats before = (*store)->store_stats();
+  pipeline.Stage({4, 5});
+  pipeline.Drain();
+  EXPECT_EQ(pipeline.stats().staged, 2u);
+  EXPECT_EQ(pipeline.stats().skipped_budget, 0u);
+  EXPECT_TRUE(cache.ContainsAll(4, all_cols));
+  EXPECT_TRUE(cache.ContainsAll(5, all_cols));
+  // Partition 4's resident segment was kept, not evicted and re-read.
+  EXPECT_EQ((*store)->store_stats().segments_loaded - before.segments_loaded,
+            (n_cols - 1) + n_cols);
+  EXPECT_EQ(cache.stats().bytes_staged, 2 * part_bytes);
 
-  const auto shards = storage::AssignShards(pt.num_partitions(), 12,
-                                            storage::ShardAssignment::kRange);
-  // First shard entry: fixed next-shard lookahead; draining it seeds the
-  // load-latency EWMA with the 20ms staging pass.
-  pipeline.StageAhead(shards, 0, storage::ColumnSet::All());
+  // Headroom is now two partitions: 6 and 7 fit, 8 and 9 are skipped,
+  // and the unscanned read-ahead for 4 and 5 survives the inserts.
+  pipeline.Stage({6, 7, 8, 9});
   pipeline.Drain();
-  // Back-to-back shard entries (a scan far faster than the loads): the
-  // scan-interval EWMA collapses toward zero while loads stay at ~20ms,
-  // so the stage-ahead distance must widen beyond one shard. Many quick
-  // entries, so the EWMA (alpha 1/4) decays structurally — a few
-  // scheduler preemptions between iterations (sanitizer CI) can't hold
-  // it at the load latency.
-  for (int iter = 0; iter < 20; ++iter) {
-    pipeline.StageAhead(shards, 1 + (iter % 8), storage::ColumnSet::All());
+  EXPECT_EQ(pipeline.stats().staged, 4u);
+  EXPECT_EQ(pipeline.stats().skipped_budget, 2u);
+  for (size_t p : {size_t{4}, size_t{5}, size_t{6}, size_t{7}}) {
+    EXPECT_TRUE(cache.ContainsAll(p, all_cols)) << "partition " << p;
   }
-  EXPECT_GT(pipeline.stats().ahead_shards, 1u);
-  EXPECT_GT(pipeline.stats().staged, 2u);
-  pipeline.Drain();
-  EXPECT_EQ(pipeline.stats().load_errors, 0u);
+  EXPECT_LE(cache.bytes_cached(), opts.cache_budget_bytes);
+  EXPECT_EQ(cache.stats().bytes_staged, 4 * part_bytes);
+
+  // A scan consumes its read-ahead: the fetch is all hits, and the
+  // segments stop counting as staged.
+  const io::StoreStats staged = (*store)->store_stats();
+  ASSERT_TRUE((*store)->Fetch(4).ok());
+  EXPECT_EQ((*store)->store_stats().cold_loads, staged.cold_loads);
+  EXPECT_EQ(cache.stats().bytes_staged, 3 * part_bytes);
+  EXPECT_EQ(pipeline.stats().inflight_bytes, 0u);
 }
 
 // --------------------------------------------- cold scans, concurrency
@@ -1961,6 +2041,43 @@ TEST(FaultBattery, DeterministicBackoffSchedule) {
   EXPECT_EQ(BackoffUs(policy, 1, 0), 100u);
   EXPECT_EQ(BackoffUs(policy, 2, 0), 200u);
   EXPECT_EQ(BackoffUs(policy, 5, 0), 1000u);  // capped
+}
+
+TEST(FaultBattery, SleepWithCancelNeverReturnsEarlyAndAbortsPromptly) {
+  using Clock = std::chrono::steady_clock;
+  auto elapsed_us = [](Clock::time_point start) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               Clock::now() - start)
+        .count();
+  };
+  // Never early, across lengths below, at and above the polling slice.
+  for (size_t us : {0, 1, 150, 200, 201, 450, 1500, 5000}) {
+    CancelToken live;
+    for (const CancelToken* token : {static_cast<const CancelToken*>(nullptr),
+                                     static_cast<const CancelToken*>(&live)}) {
+      const Clock::time_point start = Clock::now();
+      EXPECT_TRUE(SleepWithCancel(us, token).ok());
+      EXPECT_GE(elapsed_us(start), static_cast<int64_t>(us)) << us << " us";
+    }
+  }
+  // A token fired mid-sleep ends it promptly with the token's Status.
+  CancelToken cancel;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    cancel.Cancel();
+  });
+  Clock::time_point start = Clock::now();
+  EXPECT_EQ(SleepWithCancel(10000000, &cancel).code(), StatusCode::kCancelled);
+  EXPECT_LT(elapsed_us(start), 2000000);
+  canceller.join();
+  // So does a deadline, and a zero-length sleep still polls the token.
+  CancelToken deadline;
+  deadline.SetDeadline(Clock::now() + std::chrono::milliseconds(5));
+  start = Clock::now();
+  EXPECT_EQ(SleepWithCancel(10000000, &deadline).code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_LT(elapsed_us(start), 2000000);
+  EXPECT_EQ(SleepWithCancel(0, &cancel).code(), StatusCode::kCancelled);
 }
 
 }  // namespace
